@@ -36,10 +36,12 @@ int main() {
               store.stats().shards_skipped);
   const chem::MmapSource source(std::move(store));
 
+  std::vector<chem::Image> images;
+  source.images(0, source.size(), images);
   std::vector<ml::ShardRecord> records;
   std::size_t raw_bytes = 0;
   for (std::size_t i = 0; i < source.size(); ++i) {
-    records.push_back({source.id(i), source.image(i)});
+    records.push_back({source.id(i), std::move(images[i])});
     raw_bytes += records.back().image.data.size();  // uint8-quantized size
   }
 

@@ -18,9 +18,11 @@
 #      in common/lockdep.hpp is enforced on every acquisition the suite
 #      drives — plus the audit label again under that configuration;
 #   5. tsan preset: the concurrency-sensitive subsets (obs + graph + serve
-#      + multi labels — serve covers the inference server's worker/submitter
-#      paths and the concurrent SurrogateModel::predict_batch contract;
-#      multi covers shared-backend multi-target campaign runs);
+#      + library + multi labels — serve covers the inference server's
+#      worker/submitter paths and the concurrent
+#      SurrogateModel::predict_batch contract; library covers
+#      LigandSource featurization fanned out over a ThreadPool; multi
+#      covers shared-backend multi-target campaign runs);
 #   6. native preset (-march=native Release): the `dock`-labelled suite —
 #      the batched SIMD scorer's bitwise-equivalence gate must hold under
 #      the widest vectorization the host supports, not just the portable
@@ -102,6 +104,9 @@ ctest --preset tsan-graph -j "$JOBS"
 
 echo "== tsan: serve-labeled tests =="
 ctest --preset tsan-serve -j "$JOBS"
+
+echo "== tsan: library-labeled tests (featurization fanned out over the pool) =="
+ctest --preset tsan-library -j "$JOBS"
 
 echo "== tsan: multi-labeled tests (shared-backend multi-target campaigns) =="
 ctest --preset tsan-multi -j "$JOBS"

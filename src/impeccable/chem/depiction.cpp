@@ -49,8 +49,8 @@ void draw_segment(Image& img, int channel, double x0, double y0, double x1,
 
 }  // namespace
 
-Image depict(const Molecule& mol, const DepictionOptions& opts) {
-  Image img;
+void depict_into(const Molecule& mol, const DepictionOptions& opts,
+                 Image& img) {
   img.channels = opts.channels;
   img.height = opts.height;
   img.width = opts.width;
@@ -87,6 +87,11 @@ Image depict(const Molecule& mol, const DepictionOptions& opts) {
     if (a.formal_charge != 0) w = 1.0;
     splat(img, ch, px, py, opts.atom_sigma, w);
   }
+}
+
+Image depict(const Molecule& mol, const DepictionOptions& opts) {
+  Image img;
+  depict_into(mol, opts, img);
   return img;
 }
 

@@ -45,7 +45,13 @@ struct Image {
   }
 };
 
-/// Rasterize the molecule's 2D depiction.
+/// Rasterize the molecule's 2D depiction into `out`, overwriting its shape
+/// and every pixel; the result does not depend on what `out` held. Reuses
+/// `out.data`'s capacity, so a buffer the caller reserved stays the
+/// caller's allocation even when a pool worker renders into it.
+void depict_into(const Molecule& mol, const DepictionOptions& opts, Image& out);
+
+/// Rasterize the molecule's 2D depiction into a fresh Image.
 Image depict(const Molecule& mol, const DepictionOptions& opts = {});
 
 }  // namespace impeccable::chem

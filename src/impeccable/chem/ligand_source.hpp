@@ -16,6 +16,15 @@
 // (parse_smiles -> protonate_for_ph -> depict with the same options), so a
 // campaign's science_fingerprint() is invariant to the backend choice —
 // pinned by tests/library_store_test.cpp.
+//
+// Featurization fans out over an optional common::ThreadPool (the
+// InMemorySource constructor and LigandSource::images). Each image is a
+// pure function of (SMILES, SourceOptions) written to its own slot, so the
+// output is bitwise identical at any pool size, and a malformed SMILES
+// throws the same exception as the serial loop (parallel_for propagates
+// the lowest failing index). Long-lived image buffers are allocated on the
+// calling thread — reserved before the fan-out — and workers only fill
+// them (depict_into), so they never land in a worker's malloc arena.
 
 #include <cstddef>
 #include <cstdint>
@@ -27,6 +36,10 @@
 #include "impeccable/chem/library.hpp"
 #include "impeccable/chem/molecule.hpp"
 #include "impeccable/chem/store.hpp"
+
+namespace impeccable::common {
+class ThreadPool;
+}  // namespace impeccable::common
 
 namespace impeccable::chem {
 
@@ -50,11 +63,13 @@ class LigandSource {
   /// Parsed (and, per options, protonated) molecule.
   virtual Molecule molecule(std::size_t i) const = 0;
   /// Depiction of molecule(i) with the source's DepictionOptions.
-  virtual Image image(std::size_t i) const = 0;
+  Image image(std::size_t i) const;
 
-  /// Render depictions for ligands [begin, end) into `out` (resized).
-  virtual void images(std::size_t begin, std::size_t end,
-                      std::vector<Image>& out) const;
+  /// Render depictions for ligands [begin, end) into `out` (resized), on
+  /// `pool` when given, else serially; bitwise identical either way. Every
+  /// slot's buffer is reserved on the calling thread before the fan-out.
+  void images(std::size_t begin, std::size_t end, std::vector<Image>& out,
+              common::ThreadPool* pool = nullptr) const;
 
   /// Hint that [begin, end) will not be re-read soon; streaming consumers
   /// call this after each window so lazy backends can drop cached pages.
@@ -66,23 +81,31 @@ class LigandSource {
   explicit LigandSource(SourceOptions opts) : opts_(opts) {}
   /// The one featurization pipeline both backends share.
   Molecule prepare(std::string_view smiles) const;
+  /// Write the depiction of ligand i into `out`, reusing its buffer's
+  /// capacity. Called concurrently for distinct slots by images().
+  virtual void image_into(std::size_t i, Image& out) const = 0;
 
   SourceOptions opts_;
 };
 
 /// Fully materialized source: parses and depicts every entry at
-/// construction (the historical CampaignState::init behavior).
+/// construction (the historical CampaignState::init behavior), across
+/// `pool` when given.
 class InMemorySource final : public LigandSource {
  public:
-  explicit InMemorySource(CompoundLibrary library, SourceOptions opts = {});
+  explicit InMemorySource(CompoundLibrary library, SourceOptions opts = {},
+                          common::ThreadPool* pool = nullptr);
 
   std::size_t size() const override { return library_.size(); }
   std::string id(std::size_t i) const override;
   std::string smiles(std::size_t i) const override;
   Molecule molecule(std::size_t i) const override;
-  Image image(std::size_t i) const override;
 
   const CompoundLibrary& library() const { return library_; }
+
+ protected:
+  /// Copy-assigns the stored depiction (reuses `out`'s capacity).
+  void image_into(std::size_t i, Image& out) const override;
 
  private:
   CompoundLibrary library_;
@@ -100,12 +123,15 @@ class MmapSource final : public LigandSource {
   std::string id(std::size_t i) const override;
   std::string smiles(std::size_t i) const override;
   Molecule molecule(std::size_t i) const override;
-  Image image(std::size_t i) const override;
   void release(std::size_t begin, std::size_t end) const override;
 
   /// On-disk address of ligand i (shard ordinal + payload offset).
   LigandRef locate(std::size_t i) const { return store_.locate(i); }
   const LigandStore& store() const { return store_; }
+
+ protected:
+  /// Parses and renders in place (depict_into).
+  void image_into(std::size_t i, Image& out) const override;
 
  private:
   LigandStore store_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "impeccable/common/obs_hooks.hpp"
 
@@ -210,10 +211,13 @@ void ThreadPool::drain_pfor(detail::PforState& st) {
       err = std::current_exception();
     }
     if (err) {
+      // Hand the reference over (not a copy) before this chunk counts as
+      // done, so no worker still owns the caller's exception once it is
+      // rethrown.
       std::lock_guard lk(st.mu);
       if (fail_at < st.first_error_index) {
         st.first_error_index = fail_at;
-        st.first_error = err;
+        st.first_error = std::move(err);
       }
     }
     if (st.chunks_done.fetch_add(1) + 1 == st.chunks_total) {
@@ -232,13 +236,18 @@ void ThreadPool::run_pfor(const std::shared_ptr<detail::PforState>& st) {
     if (!try_enqueue([st] { drain_pfor(*st); })) break;  // pool stopping
   }
   drain_pfor(*st);
+  std::exception_ptr err;
   {
     std::unique_lock lk(st->mu);
     st->cv.wait(lk, [&] {
       return st->chunks_done.load() == st->chunks_total;
     });
+    // Take the error out of the shared state: a helper ticket that runs
+    // late may drop the state's last reference on a worker, and it must not
+    // take the exception the caller is handling with it.
+    err = std::move(st->first_error);
   }
-  if (st->first_error) std::rethrow_exception(st->first_error);
+  if (err) std::rethrow_exception(err);
 }
 
 }  // namespace impeccable::common

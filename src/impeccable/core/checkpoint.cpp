@@ -1,5 +1,6 @@
 #include "impeccable/core/checkpoint.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -12,6 +13,29 @@ constexpr const char* kHeader =
     "id,smiles,surrogate_score,docked,dock_score,cg_done,cg_energy,cg_error,"
     "fg_energies";
 
+/// Streams a double as the shortest text that reads back to the same bits
+/// (std::to_chars); the stream default keeps only 6 significant digits.
+struct Exact {
+  double v;
+};
+
+std::ostream& operator<<(std::ostream& os, Exact e) {
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof buf, e.v);
+  return os.write(buf, r.ptr - buf);
+}
+
+/// Parse a whole field written through Exact; anything else throws. Unlike
+/// std::stod this accepts subnormals, which Exact can produce.
+double parse_exact(const std::string& field) {
+  double v = 0.0;
+  const char* end = field.data() + field.size();
+  const auto r = std::from_chars(field.data(), end, v);
+  if (r.ec != std::errc() || r.ptr != end)
+    throw std::invalid_argument("not a number: " + field);
+  return v;
+}
+
 }  // namespace
 
 void write_checkpoint(const CampaignReport& report, const std::string& path) {
@@ -19,13 +43,13 @@ void write_checkpoint(const CampaignReport& report, const std::string& path) {
   if (!f) throw std::runtime_error("write_checkpoint: cannot open " + path);
   f << kHeader << "\n";
   for (const auto& [id, rec] : report.compounds) {
-    f << rec.id << ',' << rec.smiles << ',' << rec.surrogate_score << ','
-      << (rec.docked ? 1 : 0) << ',' << rec.dock_score << ','
-      << (rec.cg_done ? 1 : 0) << ',' << rec.cg_energy << ',' << rec.cg_error
-      << ',';
+    f << rec.id << ',' << rec.smiles << ',' << Exact{rec.surrogate_score}
+      << ',' << (rec.docked ? 1 : 0) << ',' << Exact{rec.dock_score}
+      << ',' << (rec.cg_done ? 1 : 0) << ',' << Exact{rec.cg_energy}
+      << ',' << Exact{rec.cg_error} << ',';
     for (std::size_t k = 0; k < rec.fg_energies.size(); ++k) {
       if (k) f << ';';
-      f << rec.fg_energies[k];
+      f << Exact{rec.fg_energies[k]};
     }
     f << "\n";
   }
@@ -54,16 +78,17 @@ std::map<std::string, CompoundRecord> read_checkpoint(const std::string& path) {
       CompoundRecord rec;
       rec.id = fields[0];
       rec.smiles = fields[1];
-      rec.surrogate_score = std::stod(fields[2]);
+      rec.surrogate_score = parse_exact(fields[2]);
       rec.docked = fields[3] == "1";
-      rec.dock_score = std::stod(fields[4]);
+      rec.dock_score = parse_exact(fields[4]);
       rec.cg_done = fields[5] == "1";
-      rec.cg_energy = std::stod(fields[6]);
-      rec.cg_error = std::stod(fields[7]);
+      rec.cg_energy = parse_exact(fields[6]);
+      rec.cg_error = parse_exact(fields[7]);
       if (fields.size() > 8 && !fields[8].empty()) {
         std::stringstream fg(fields[8]);
         std::string e;
-        while (std::getline(fg, e, ';')) rec.fg_energies.push_back(std::stod(e));
+        while (std::getline(fg, e, ';'))
+          rec.fg_energies.push_back(parse_exact(e));
       }
       out.emplace(rec.id, std::move(rec));
     } catch (const std::exception&) {
@@ -83,7 +108,7 @@ void write_scores_csv(const std::vector<std::pair<std::string, double>>& scores,
   for (const auto& [id, score] : scores) {
     const auto it = id_to_smiles.find(id);
     f << id << ',' << (it == id_to_smiles.end() ? "" : it->second) << ','
-      << score << "\n";
+      << Exact{score} << "\n";
   }
 }
 

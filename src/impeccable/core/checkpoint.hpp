@@ -18,6 +18,8 @@ namespace impeccable::core {
 
 /// Write every compound record to `path` as CSV
 /// (id,smiles,surrogate,docked,dock_score,cg_done,cg_energy,cg_error,fg...).
+/// Doubles are written as shortest round-trip text, so read_checkpoint
+/// returns them bit for bit.
 void write_checkpoint(const CampaignReport& report, const std::string& path);
 
 /// Read a checkpoint back into compound records.

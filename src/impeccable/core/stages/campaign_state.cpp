@@ -47,7 +47,7 @@ void CampaignState::init() {
     source = std::make_shared<chem::InMemorySource>(
         chem::generate_library(cfg.library_name, cfg.library_size,
                                cfg.library_seed),
-        sopts);
+        sopts, backend->compute_pool());
   }
 
   // Resume: restore prior records and rebuild the training set from them.

@@ -1,6 +1,8 @@
 #include "impeccable/ml/streaming.hpp"
 #include "impeccable/chem/ligand_source.hpp"
+#include "impeccable/ml/gemm.hpp"
 #include "impeccable/ml/surrogate.hpp"
+#include "impeccable/obs/recorder.hpp"
 
 #include <algorithm>
 #include <cstdio>
@@ -151,11 +153,13 @@ std::size_t score_ligands(const chem::LigandSource& source,
                           ScoreSpill* spill, StreamingTopK* topk) {
   if (window == 0) throw std::invalid_argument("score_ligands: window == 0");
   end = std::min(end, source.size());
+  // Featurization fans out over the same pool predict_batch uses.
+  common::ThreadPool* pool = compute_pool();
   std::vector<chem::Image> images;
   std::size_t scored = 0;
   for (std::size_t b = begin; b < end; b += window) {
     const std::size_t e = std::min(end, b + window);
-    source.images(b, e, images);
+    source.images(b, e, images, pool);
     const std::vector<float> pred = model.predict_batch(images);
     if (spill) spill->write(b, pred.data(), pred.size());
     if (topk)
@@ -163,6 +167,10 @@ std::size_t score_ligands(const chem::LigandSource& source,
         topk->offer(pred[i], b + i);
     source.release(b, e);
     scored += e - b;
+    if (obs::Recorder* rec = obs::global()) {
+      rec->metrics().counter("ml.score.ligands").add(e - b);
+      rec->metrics().counter("ml.score.windows").add(1);
+    }
   }
   return scored;
 }

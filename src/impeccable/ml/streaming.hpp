@@ -7,11 +7,12 @@
 // bench) is built from:
 //
 //   score_ligands    drives a LigandSource window-by-window through
-//                    depict -> SurrogateModel::predict_batch. Resident
-//                    memory is one window of images; each window is
-//                    release()d back to the source afterwards.
-//                    predict_batch is chunk-invariant, so windowing never
-//                    changes a score.
+//                    depict -> SurrogateModel::predict_batch, both fanned
+//                    out over ml::compute_pool(). Resident memory is one
+//                    window of images; each window is release()d back to
+//                    the source afterwards. Featurization and
+//                    predict_batch are chunk- and thread-count-invariant,
+//                    so neither windowing nor the pool changes a score.
 //   ScoreSpill       the per-iteration score array, RAM-backed for
 //                    in-memory runs and file-backed (pread/pwrite, bounded
 //                    buffers) for out-of-core runs. Random access serves
@@ -104,9 +105,11 @@ class ScoreSpill {
 };
 
 /// Stream ligands [begin, end) of `source` through depiction and
-/// `model.predict_batch` in windows of `window` ligands. Scores land in
+/// `model.predict_batch` in windows of `window` ligands, featurizing each
+/// window across ml::compute_pool() (serially without one). Scores land in
 /// `spill` at their library ordinal (if non-null) and feed `topk` (if
-/// non-null). Returns the number of ligands scored.
+/// non-null). Counts `ml.score.ligands` and `ml.score.windows` on the
+/// global recorder, once per window. Returns the number of ligands scored.
 std::size_t score_ligands(const chem::LigandSource& source,
                           const SurrogateModel& model, std::size_t begin,
                           std::size_t end, std::size_t window,

@@ -52,10 +52,12 @@ Workload make_workload(const WorkloadOptions& opts) {
   sopts.depiction.width = opts.width;
   const chem::InMemorySource source(
       chem::generate_library("SRV", uniques, opts.seed), sopts);
-  w.unique.reserve(source.size());
-  for (std::size_t i = 0; i < source.size(); ++i) {
+  std::vector<chem::Image> images;
+  source.images(0, source.size(), images);
+  w.unique.reserve(images.size());
+  for (chem::Image& image : images) {
     Request req;
-    req.image = source.image(i);
+    req.image = std::move(image);
     // Key on the depiction digest: it is exactly the content the model
     // consumes, so identical keys imply identical CNN inputs — the cache
     // can never alias two ligands the model would score differently.

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include "impeccable/core/campaign.hpp"
 #include "impeccable/core/checkpoint.hpp"
@@ -74,6 +78,51 @@ TEST(Checkpoint, RoundTripsRecords) {
   const auto& rb = back.at("X-2");
   EXPECT_FALSE(rb.docked);
   EXPECT_TRUE(rb.fg_energies.empty());
+  std::filesystem::remove(path);
+}
+
+TEST(Checkpoint, RoundTripsDoublesBitwise) {
+  // Values the stream default (6 significant digits) would round: a real
+  // dock score, an inexact sum, and a subnormal.
+  const double values[] = {-94.23713518273, 0.1 + 0.2,
+                           std::numeric_limits<double>::denorm_min(),
+                           -3.0e-310};
+  core::CampaignReport report;
+  core::CompoundRecord rec;
+  rec.id = "X-1";
+  rec.smiles = "CCO";
+  rec.surrogate_score = values[1];
+  rec.docked = true;
+  rec.dock_score = values[0];
+  rec.cg_energy = values[2];
+  rec.cg_error = values[3];
+  rec.fg_energies = {values[0], values[1], values[2], values[3]};
+  report.compounds = {{rec.id, rec}};
+
+  const auto path = tmp("imp_ckpt_exact.csv");
+  core::write_checkpoint(report, path.string());
+  const auto back = core::read_checkpoint(path.string()).at("X-1");
+  const auto bits = [](double v) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &v, sizeof u);
+    return u;
+  };
+  EXPECT_EQ(bits(back.surrogate_score), bits(rec.surrogate_score));
+  EXPECT_EQ(bits(back.dock_score), bits(rec.dock_score));
+  EXPECT_EQ(bits(back.cg_energy), bits(rec.cg_energy));
+  EXPECT_EQ(bits(back.cg_error), bits(rec.cg_error));
+  ASSERT_EQ(back.fg_energies.size(), rec.fg_energies.size());
+  for (std::size_t k = 0; k < rec.fg_energies.size(); ++k)
+    EXPECT_EQ(bits(back.fg_energies[k]), bits(rec.fg_energies[k])) << k;
+  std::filesystem::remove(path);
+
+  // The ML1 -> S1 interchange keeps full precision too.
+  core::write_scores_csv({{"A", values[0]}}, {{"A", "CCO"}}, path.string());
+  std::ifstream f(path);
+  std::string line;
+  std::getline(f, line);
+  std::getline(f, line);
+  EXPECT_EQ(line, "A,CCO,-94.23713518273");
   std::filesystem::remove(path);
 }
 

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <set>
 
@@ -277,8 +278,11 @@ INSTANTIATE_TEST_SUITE_P(NoiseLevels, ResMonotonicityProperty,
 
 // ------------------------------------------------ cell list completeness
 
+// gtest prints the raw bytes of a parameter into the test name, so the struct
+// must have no padding: padding bytes are uninitialised and would make the
+// name differ from run to run.
 struct CellListCase {
-  int points;
+  std::int64_t points;
   double box;
   double cutoff;
 };
@@ -286,7 +290,8 @@ struct CellListCase {
 class CellListProperty : public ::testing::TestWithParam<CellListCase> {};
 
 TEST_P(CellListProperty, MatchesBruteForce) {
-  const auto [n, box, cutoff] = GetParam();
+  const auto [points, box, cutoff] = GetParam();
+  const int n = static_cast<int>(points);
   Rng rng(static_cast<std::uint64_t>(n) * 31 + 7);
   std::vector<Vec3> pos;
   for (int i = 0; i < n; ++i)

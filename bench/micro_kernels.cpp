@@ -18,7 +18,6 @@
 #include "impeccable/chem/substructure.hpp"
 #include "impeccable/common/stats.hpp"
 #include "impeccable/ml/lof.hpp"
-#include "impeccable/ml/shards.hpp"
 #include "impeccable/ml/loss.hpp"
 #include "impeccable/ml/surrogate.hpp"
 #include "impeccable/ml/tensor.hpp"
@@ -183,14 +182,3 @@ static void BM_BlockAverageError(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_BlockAverageError);
-
-static void BM_ShardEncodeDecode(benchmark::State& state) {
-  std::vector<ml::ShardRecord> records;
-  const auto lib = chem::generate_library("K", 8, 13);
-  for (const auto& e : lib.entries)
-    records.push_back({e.id, chem::depict(chem::parse_smiles(e.smiles))});
-  for (auto _ : state)
-    benchmark::DoNotOptimize(ml::decode_shard(ml::encode_shard(records)));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 8);
-}
-BENCHMARK(BM_ShardEncodeDecode);

@@ -1,21 +1,27 @@
-// ML1 deployment pipeline (Sec. 6.1.1): generate a compound library
-// straight into the on-disk LigandStore (the out-of-core SMILES format),
-// depict it through a lazy MmapSource, shard the depictions into compressed
-// files, then run distributed inference — rank-partitioned shards, a
-// prefetching loader thread per rank feeding the surrogate through a
-// bounded queue, resilience to corrupt shards, and a rank-0 gather of
-// (ligand, score) pairs.
+// ML1 deployment path (Sec. 6.1.1): the library arrives as sharded files,
+// some of which may be damaged, and the surrogate must score every intact
+// ligand without dying on the bad ones. Generate a compound library straight
+// into the on-disk LigandStore in 50-ligand shards, overwrite one shard with
+// garbage, reopen the store (the bad shard is skipped and counted), then
+// stream the survivors through ml::score_ligands — windowed featurization
+// and batched inference on the compute pool — into a score spill and an
+// exact streaming top-k.
+//
+// Exits nonzero unless exactly one shard was skipped and every ligand of the
+// intact shards was scored.
 //
 //   $ ./examples/sharded_inference
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 
 #include "impeccable/chem/ligand_source.hpp"
-#include "impeccable/ml/shards.hpp"
+#include "impeccable/common/thread_pool.hpp"
+#include "impeccable/ml/gemm.hpp"
+#include "impeccable/ml/streaming.hpp"
+#include "impeccable/ml/surrogate.hpp"
 
 namespace chem = impeccable::chem;
 namespace ml = impeccable::ml;
@@ -23,65 +29,60 @@ namespace ml = impeccable::ml;
 int main() {
   const std::size_t compounds = 400;
   const std::size_t per_shard = 50;
+  const std::size_t window = 128;
 
-  // Spill the generated library to a LigandStore and read it back through
-  // the mmap'd source — the campaign engine's out-of-core data path.
-  const auto store_dir =
-      std::filesystem::temp_directory_path() / "impeccable_example_store";
-  std::filesystem::remove_all(store_dir);
-  chem::spill_generated_library("ULT", compounds, 911, store_dir.string());
-  auto store = chem::LigandStore::open(store_dir.string());
-  std::printf("store: %zu ligands in %zu shard(s), %zu skipped\n",
-              store.size(), store.stats().shards_ok,
-              store.stats().shards_skipped);
-  const chem::MmapSource source(std::move(store));
-
-  std::vector<chem::Image> images;
-  source.images(0, source.size(), images);
-  std::vector<ml::ShardRecord> records;
-  std::size_t raw_bytes = 0;
-  for (std::size_t i = 0; i < source.size(); ++i) {
-    records.push_back({source.id(i), std::move(images[i])});
-    raw_bytes += records.back().image.data.size();  // uint8-quantized size
-  }
-
-  const auto dir = std::filesystem::temp_directory_path() / "impeccable_shards";
+  const auto dir =
+      std::filesystem::temp_directory_path() / "impeccable_sharded_inference";
   std::filesystem::remove_all(dir);
-  const auto paths = ml::write_shards(records, per_shard, dir.string());
+  const auto written = chem::spill_generated_library(
+      "ULT", compounds, 911, dir.string(), {}, per_shard);
+  std::printf("store: %zu ligands written in %zu-ligand shards\n",
+              written.records, per_shard);
 
-  std::size_t disk_bytes = 0;
-  for (const auto& p : paths) disk_bytes += std::filesystem::file_size(p);
-  std::printf("dataset: %zu ligands -> %zu shards, compression %.1fx "
-              "(paper reports 14.2x with gzip)\n",
-              compounds, paths.size(),
-              static_cast<double>(raw_bytes) / disk_bytes);
-
-  // Corrupt one shard to demonstrate resilience.
+  // Bit rot in one shard file.
   {
-    std::ofstream f(paths[2], std::ios::binary | std::ios::trunc);
+    std::ofstream f(dir / "shard-00002.imls",
+                    std::ios::binary | std::ios::trunc);
     f << "bit rot";
   }
 
-  const auto t0 = std::chrono::steady_clock::now();
-  ml::InferenceOptions iopts;
-  iopts.ranks = 4;
-  const auto out = ml::run_sharded_inference(paths, {}, iopts);
-  const double dt =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  auto store = chem::LigandStore::open(dir.string());
+  const chem::StoreStats stats = store.stats();
+  std::printf("reopened: %zu shard(s) ok, %zu skipped, %zu ligands left\n",
+              stats.shards_ok, stats.shards_skipped, stats.records);
+  const chem::MmapSource source(std::move(store));
 
-  std::printf("inference: %zu ligands scored on %d ranks in %.2f s "
-              "(%.0f ligands/s); %zu shard(s) skipped after IO errors\n",
-              out.scores.size(), iopts.ranks, dt, out.scores.size() / dt,
-              out.shards_failed);
+  // A deployment would load_weights() a trained surrogate; deterministic
+  // fresh weights keep the example self-contained.
+  const ml::SurrogateModel model;
+  auto spill = ml::ScoreSpill::in_memory(source.size());
+  ml::StreamingTopK topk(5);
+  // Featurization and predict_batch fan out over the installed compute pool
+  // (one worker per core).
+  impeccable::common::ThreadPool pool;
+  ml::set_compute_pool(&pool);
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::size_t scored = ml::score_ligands(source, model, 0, source.size(),
+                                               window, &spill, &topk);
+  const double dt =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  ml::set_compute_pool(nullptr);
+  std::printf("inference: %zu ligands scored on %zu workers in %.2f s "
+              "(%.0f ligands/s)\n",
+              scored, pool.size(), dt, scored / dt);
 
   std::printf("\ntop-5 predicted binders:\n");
-  auto ranked = out.scores;
-  std::sort(ranked.begin(), ranked.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  for (std::size_t i = 0; i < 5 && i < ranked.size(); ++i)
-    std::printf("  %s  score %.3f\n", ranked[i].first.c_str(), ranked[i].second);
+  for (const auto& c : topk.take_sorted())
+    std::printf("  %s  score %.3f\n", source.id(c.index).c_str(), c.score);
 
   std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(store_dir);
+  const std::size_t intact = compounds - per_shard;
+  if (stats.shards_skipped != 1 || scored != intact) {
+    std::fprintf(stderr,
+                 "FAIL: expected 1 skipped shard and %zu scored ligands\n",
+                 intact);
+    return 1;
+  }
   return 0;
 }

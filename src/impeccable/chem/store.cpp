@@ -227,8 +227,11 @@ LigandStore LigandStore::open(const std::string& directory) {
       sh.bytes = get_u64(header + 40);
       // Structural sanity: declared size matches the file, the index sits
       // after the payload, and the record count fills the index exactly.
+      // The header is outside the checksum, so compare without summing
+      // header fields: kHeaderBytes + payload_bytes can wrap.
       ok = sh.bytes == static_cast<std::size_t>(sb.st_size) &&
-           sh.index_offset >= kHeaderBytes + sh.payload_bytes &&
+           sh.index_offset >= kHeaderBytes &&
+           sh.payload_bytes <= sh.index_offset - kHeaderBytes &&
            sh.index_offset <= sh.bytes && sh.count > 0 &&
            sh.count == (sh.bytes - sh.index_offset) / 8 &&
            (sh.bytes - sh.index_offset) % 8 == 0;
@@ -299,13 +302,16 @@ std::pair<std::string_view, std::string_view> LigandStore::record(
     std::size_t i) const {
   std::size_t rec = 0;
   const Shard& sh = shard_of(i, rec);
+  // Index entries are only as trustworthy as an FNV checksum, which anyone
+  // can recompute: bound them by subtraction so a forged offset near 2^64
+  // cannot wrap past the checks.
   const std::uint64_t off = get_u64(sh.base + sh.index_offset + rec * 8);
-  if (off + 4 > sh.payload_bytes)
+  if (off > sh.payload_bytes || sh.payload_bytes - off < 4)
     throw std::runtime_error("LigandStore: record offset out of payload");
   const std::uint8_t* p = sh.base + kHeaderBytes + off;
   const std::size_t id_len = get_u16(p);
   const std::size_t smi_len = get_u16(p + 2);
-  if (off + 4 + id_len + smi_len > sh.payload_bytes)
+  if (sh.payload_bytes - off - 4 < id_len + smi_len)
     throw std::runtime_error("LigandStore: record overruns payload");
   const char* chars = reinterpret_cast<const char*>(p + 4);
   return {std::string_view(chars, id_len),
@@ -358,17 +364,21 @@ void LigandStore::release(std::size_t begin, std::size_t end) const {
     std::size_t rec = 0;
     const Shard& sh = shard_of(i, rec);
     const std::size_t last = std::min(end, sh.start + sh.count) - 1;
-    const std::uint64_t lo_off = get_u64(sh.base + sh.index_offset + rec * 8);
-    const std::uint64_t hi_off = get_u64(
-        sh.base + sh.index_offset + (last - sh.start) * 8);
+    // Clamped to the payload, so a forged index entry cannot aim madvise
+    // outside this shard's mapping.
+    const std::uint64_t lo_off = std::min<std::uint64_t>(
+        get_u64(sh.base + sh.index_offset + rec * 8), sh.payload_bytes);
+    const std::uint64_t hi_off = std::min<std::uint64_t>(
+        get_u64(sh.base + sh.index_offset + (last - sh.start) * 8),
+        sh.payload_bytes);
     // Read the last record's header for its exact extent, and round the span
     // DOWN to page boundaries on both sides. Never release past the caller's
     // range: the kernel maps page-cache folios whole on fault, so zapping
     // bytes ahead of a sequential reader forces an immediate refault that
     // remaps the folio — including the span just released — and the release
     // nets to nothing. Partial boundary pages are picked up by the next call.
-    std::uint64_t hi_end = hi_off + 4;
-    if (hi_off + 4 <= sh.payload_bytes) {
+    std::uint64_t hi_end = sh.payload_bytes;
+    if (sh.payload_bytes - hi_off >= 4) {
       const std::uint8_t* p = sh.base + kHeaderBytes + hi_off;
       hi_end = std::min<std::uint64_t>(
           hi_off + 4 + get_u16(p) + get_u16(p + 2), sh.payload_bytes);

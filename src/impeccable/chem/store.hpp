@@ -18,9 +18,10 @@
 // string_views into the mapping — no per-ligand heap state — while
 // validation (header sanity, size and checksum) runs over bounded pread
 // buffers so opening a 10 GB store never faults it resident. Corrupt shards
-// (truncated file, torn header, checksum mismatch) are skipped and counted,
-// matching ml/shards resilience semantics: a billion-ligand sweep survives
-// a bad file, it does not die on it.
+// (truncated file, torn header, inconsistent header sizes, checksum
+// mismatch) are skipped and counted: a billion-ligand sweep survives a bad
+// file, it does not die on it. This is the library's one corrupt-shard
+// policy; ML1 streams the survivors through ml::score_ligands.
 //
 // The writer is append-only with optional sharded near-duplicate
 // deduplication on canonical-SMILES digests: 256 digest buckets keyed on

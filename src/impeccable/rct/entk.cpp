@@ -66,13 +66,10 @@ GraphRunReport AppManager::run(std::vector<Pipeline> pipelines) {
 }
 
 GraphRunReport AppManager::run_graph(StageGraph graph) {
-  retries_ = 0;
-  makespan_ = 0.0;
   auto g = std::make_shared<GraphRun>(std::move(graph));
   std::vector<NodeId> ready;
   {
     std::lock_guard lock(mutex_);
-    results_.clear();
     ready = integrate_locked(*g);
   }
   for (NodeId id : ready) schedule(g, id);
@@ -81,10 +78,9 @@ GraphRunReport AppManager::run_graph(StageGraph graph) {
   GraphRunReport report;
   {
     std::lock_guard lock(mutex_);
-    report.results = std::move(results_);
-    results_.clear();
-    report.retries = retries_;
-    report.makespan = makespan_;
+    report.results = std::move(g->results);
+    report.retries = g->retries;
+    report.makespan = g->makespan;
     report.nodes.reserve(g->states.size());
     for (NodeId id = 0; id < g->states.size(); ++id) {
       const NodeState& st = g->states[id];
@@ -100,8 +96,7 @@ GraphRunReport AppManager::run_graph(StageGraph graph) {
       report.nodes.push_back(std::move(nr));
     }
   }
-  last_ = std::move(report);
-  return last_;
+  return report;
 }
 
 std::vector<NodeId> AppManager::integrate_locked(GraphRun& g) {
@@ -214,7 +209,7 @@ void AppManager::submit_task(const std::shared_ptr<GraphRun>& g, NodeId id,
                     if (!result.ok && attempt < opts_.max_retries) {
                       {
                         std::lock_guard lock(mutex_);
-                        ++retries_;
+                        ++g->retries;
                       }
                       submit_task(g, id, task, attempt + 1);
                       return;
@@ -229,8 +224,8 @@ void AppManager::on_task_done(const std::shared_ptr<GraphRun>& g, NodeId id,
   {
     std::lock_guard lock(mutex_);
     if (!result.name.empty() || result.end_time > 0.0)
-      results_.push_back(result);
-    makespan_ = std::max(makespan_, result.end_time);
+      g->results.push_back(result);
+    g->makespan = std::max(g->makespan, result.end_time);
     NodeState& st = g->states[id];
     if (st.outstanding > 0) --st.outstanding;
     node_complete = st.outstanding == 0;

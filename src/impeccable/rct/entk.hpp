@@ -149,11 +149,8 @@ struct NodeReport {
   double ready_wait() const { return begin - ready; }
 };
 
-/// Everything one run/run_graph call produced. Replaces the old accessor
-/// soup (tasks_completed()/tasks_failed()/... silently reflected only the
-/// last run); the report is a value you can keep. It iterates like the plain
-/// result vector the API used to return, so existing call sites that only
-/// ranged/sized the results keep compiling.
+/// Everything one run/run_graph call produced; the report is a value you can
+/// keep, and the AppManager holds no state from one run to the next.
 struct GraphRunReport {
   std::vector<TaskResult> results;  ///< every task result, completion order
   std::vector<NodeReport> nodes;    ///< per graph node, id order
@@ -167,16 +164,6 @@ struct GraphRunReport {
   /// Log-spaced histogram of ready-queue waits: (upper_edge_seconds, count)
   /// pairs; the first bucket also absorbs zero/negative waits.
   std::vector<std::pair<double, std::size_t>> ready_wait_histogram() const;
-
-  // Result-vector compatibility surface.
-  using const_iterator = std::vector<TaskResult>::const_iterator;
-  const_iterator begin() const { return results.begin(); }
-  const_iterator end() const { return results.end(); }
-  std::size_t size() const { return results.size(); }
-  bool empty() const { return results.empty(); }
-  const TaskResult& operator[](std::size_t i) const { return results[i]; }
-  const TaskResult& front() const { return results.front(); }
-  const TaskResult& back() const { return results.back(); }
 };
 
 /// Executes PST pipelines or an explicit stage graph on a backend (the EnTK
@@ -197,13 +184,6 @@ class AppManager {
   /// queue in ReadyOrder; independent nodes execute concurrently on the
   /// backend.
   GraphRunReport run_graph(StageGraph graph);
-
-  /// \deprecated Statistics of the last run — prefer the GraphRunReport
-  /// value returned by run()/run_graph(); these delegate to the last report.
-  std::size_t tasks_completed() const { return last_.results.size(); }
-  std::size_t tasks_failed() const { return last_.failed(); }
-  std::size_t tasks_retried() const { return last_.retries; }
-  double makespan() const { return last_.makespan; }
 
  private:
   struct NodeState {
@@ -230,6 +210,10 @@ class AppManager {
     std::vector<ReadyEntry> launch_queue;
     bool drain_pending = false;
     std::uint64_t ready_seq = 0;
+    /// Accumulators the run's GraphRunReport is built from.
+    std::vector<TaskResult> results;
+    std::size_t retries = 0;
+    double makespan = 0.0;
     explicit GraphRun(StageGraph g) : graph(std::move(g)) {}
   };
 
@@ -257,14 +241,10 @@ class AppManager {
   ExecutionBackend& backend_;
   AppManagerOptions opts_;
   common::OrderedMutex<common::lockrank::EngineState>
-      mutex_;  ///< results + node states + launch queue
+      mutex_;  ///< GraphRun accumulators + node states + launch queue
   common::OrderedMutex<common::lockrank::EnginePost>
       post_mutex_;  ///< serializes post_exec callbacks + graph adds
                            ///< + node-priority reads at launch drain
-  std::vector<TaskResult> results_;
-  std::size_t retries_ = 0;
-  double makespan_ = 0.0;
-  GraphRunReport last_;  ///< backs the deprecated accessors
 };
 
 }  // namespace impeccable::rct

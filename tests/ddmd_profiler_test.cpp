@@ -94,7 +94,7 @@ TEST(Profiler, RecordsSubmitStartEnd) {
 
   for (int i = 0; i < 8; ++i) {  // 8 tasks on 6 GPUs -> 2 must queue
     rct::TaskDescription t;
-    t.name = "t" + std::to_string(i);
+    t.name = std::string("t") + std::to_string(i);
     t.gpus = 1;
     t.duration = 5.0;
     backend.submit(t, [](const rct::TaskResult&) {});

@@ -1,26 +1,22 @@
 // Tests for the extension features: EnTK task retries, conformer-ensemble
-// and multi-crystal-structure docking, the multi-structure campaign path,
-// and the sharded ML1 inference pipeline.
+// and multi-crystal-structure docking, and the multi-structure campaign
+// path.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <stdexcept>
 
 #include "impeccable/chem/library.hpp"
 #include "impeccable/chem/smiles.hpp"
 #include "impeccable/core/campaign.hpp"
 #include "impeccable/dock/engine.hpp"
 #include "impeccable/dock/receptor.hpp"
-#include "impeccable/ml/shards.hpp"
 #include "impeccable/rct/backend.hpp"
 #include "impeccable/rct/entk.hpp"
 
 namespace chem = impeccable::chem;
 namespace dock = impeccable::dock;
-namespace ml = impeccable::ml;
 namespace rct = impeccable::rct;
 namespace core = impeccable::core;
 
@@ -40,12 +36,12 @@ TEST(EntkRetries, FlakyTaskEventuallySucceeds) {
     if (attempts.fetch_add(1) < 2) throw std::runtime_error("transient");
   };
   p.add_stage({"s", {t}, nullptr});
-  const auto results = mgr.run({std::move(p)});
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_TRUE(results[0].ok);
+  const auto report = mgr.run({std::move(p)});
+  ASSERT_EQ(report.results.size(), 1u);
+  EXPECT_TRUE(report.results[0].ok);
   EXPECT_EQ(attempts.load(), 3);
-  EXPECT_EQ(mgr.tasks_retried(), 2u);
-  EXPECT_EQ(mgr.tasks_failed(), 0u);
+  EXPECT_EQ(report.retries, 2u);
+  EXPECT_EQ(report.failed(), 0u);
 }
 
 TEST(EntkRetries, PermanentFailureIsRecordedAfterBudget) {
@@ -63,11 +59,11 @@ TEST(EntkRetries, PermanentFailureIsRecordedAfterBudget) {
     throw std::runtime_error("permanent");
   };
   p.add_stage({"s", {t}, nullptr});
-  const auto results = mgr.run({std::move(p)});
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_FALSE(results[0].ok);
+  const auto report = mgr.run({std::move(p)});
+  ASSERT_EQ(report.results.size(), 1u);
+  EXPECT_FALSE(report.results[0].ok);
   EXPECT_EQ(attempts.load(), 3);  // 1 + 2 retries
-  EXPECT_EQ(mgr.tasks_failed(), 1u);
+  EXPECT_EQ(report.failed(), 1u);
 }
 
 TEST(EntkRetries, NoRetriesByDefault) {
@@ -157,98 +153,6 @@ TEST(MultiStructure, TargetEnsembleBuildsVariants) {
   const auto a = t.grids[0]->map(dock::ProbeType::Carbon).sample(t.grids[0]->pocket_center);
   const auto b = t.grids[1]->map(dock::ProbeType::Carbon).sample(t.grids[1]->pocket_center);
   EXPECT_NE(a.value, b.value);
-}
-
-// ---------------------------------------------------------------- shards
-
-namespace {
-
-std::vector<ml::ShardRecord> make_records(std::size_t n) {
-  const auto lib = chem::generate_library("SHD", n, 77);
-  std::vector<ml::ShardRecord> records;
-  for (const auto& e : lib.entries)
-    records.push_back({e.id, chem::depict(chem::parse_smiles(e.smiles))});
-  return records;
-}
-
-}  // namespace
-
-TEST(Shards, RleRoundTrip) {
-  const std::vector<std::uint8_t> raw{0, 0, 0, 5, 5, 1, 0, 0, 0, 0};
-  EXPECT_EQ(ml::rle_decompress(ml::rle_compress(raw)), raw);
-  EXPECT_TRUE(ml::rle_decompress(ml::rle_compress({})).empty());
-  // Long runs split at 255.
-  std::vector<std::uint8_t> zeros(1000, 0);
-  EXPECT_EQ(ml::rle_decompress(ml::rle_compress(zeros)), zeros);
-}
-
-TEST(Shards, CompressionRatioOnDepictions) {
-  const auto records = make_records(16);
-  std::size_t raw = 0;
-  for (const auto& r : records) raw += r.image.data.size();
-  const auto blob = ml::encode_shard(records);
-  // The paper reports ~14.2x with gzip; sparse depictions should give >3x
-  // even with plain RLE.
-  EXPECT_GT(static_cast<double>(raw) / blob.size(), 3.0);
-}
-
-TEST(Shards, EncodeDecodeRoundTrip) {
-  const auto records = make_records(6);
-  const auto decoded = ml::decode_shard(ml::encode_shard(records));
-  ASSERT_EQ(decoded.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(decoded[i].id, records[i].id);
-    ASSERT_EQ(decoded[i].image.data.size(), records[i].image.data.size());
-    for (std::size_t k = 0; k < records[i].image.data.size(); ++k)
-      EXPECT_NEAR(decoded[i].image.data[k], records[i].image.data[k], 1.0 / 254);
-  }
-}
-
-TEST(Shards, DecodeRejectsGarbage) {
-  EXPECT_THROW(ml::decode_shard({1, 2, 3}), std::runtime_error);
-  std::vector<std::uint8_t> noise(64, 0xab);
-  EXPECT_THROW(ml::decode_shard(noise), std::runtime_error);
-}
-
-TEST(Shards, PipelineMatchesDirectInference) {
-  const auto records = make_records(24);
-  const auto dir = std::filesystem::temp_directory_path() / "imp_shards_a";
-  std::filesystem::remove_all(dir);
-  const auto paths = ml::write_shards(records, 7, dir.string());
-  EXPECT_EQ(paths.size(), 4u);  // ceil(24/7)
-
-  ml::SurrogateOptions mopts;
-  const auto out = ml::run_sharded_inference(paths, mopts, {.ranks = 3});
-  EXPECT_EQ(out.scores.size(), records.size());
-  EXPECT_EQ(out.shards_processed, 4u);
-  EXPECT_EQ(out.shards_failed, 0u);
-
-  // Compare against direct single-model inference (quantization-tolerant).
-  ml::SurrogateModel model(mopts);
-  for (const auto& [id, score] : out.scores) {
-    const auto it = std::find_if(records.begin(), records.end(),
-                                 [&](const ml::ShardRecord& r) { return r.id == id; });
-    ASSERT_NE(it, records.end());
-    EXPECT_NEAR(score, model.predict(it->image), 0.05) << id;
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(Shards, CorruptShardIsSkippedNotFatal) {
-  const auto records = make_records(20);
-  const auto dir = std::filesystem::temp_directory_path() / "imp_shards_b";
-  std::filesystem::remove_all(dir);
-  auto paths = ml::write_shards(records, 5, dir.string());
-  ASSERT_EQ(paths.size(), 4u);
-  {  // Corrupt the second shard.
-    std::ofstream f(paths[1], std::ios::binary | std::ios::trunc);
-    f << "not a shard";
-  }
-  const auto out = ml::run_sharded_inference(paths, {}, {.ranks = 2});
-  EXPECT_EQ(out.shards_failed, 1u);
-  EXPECT_EQ(out.shards_processed, 3u);
-  EXPECT_EQ(out.scores.size(), 15u);
-  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------- multi-structure campaign

@@ -210,8 +210,9 @@ TEST(PilotWalltime, AppManagerRetriesAcrossPilots) {
   p.add_stage({"s1", {blocker}, nullptr});
   p.add_stage({"s2", {work}, nullptr});
 
-  const auto results = mgr.run({std::move(p)});
-  ASSERT_EQ(results.size(), 2u);
-  for (const auto& r : results) EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
-  EXPECT_EQ(mgr.tasks_retried(), 1u);
+  const auto report = mgr.run({std::move(p)});
+  ASSERT_EQ(report.results.size(), 2u);
+  for (const auto& r : report.results)
+    EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
+  EXPECT_EQ(report.retries, 1u);
 }

@@ -119,7 +119,7 @@ TEST(ProfileCsv, WritesOneRowPerTask) {
   rct::ProfiledBackend backend(inner);
   for (int i = 0; i < 3; ++i) {
     rct::TaskDescription t;
-    t.name = "t" + std::to_string(i);
+    t.name = std::string("t") + std::to_string(i);
     t.gpus = 1;
     t.duration = 2.0;
     backend.submit(t, [](const rct::TaskResult&) {});

@@ -66,7 +66,7 @@ TEST(StageGraph, DiamondDependenciesJoinBeforeTheSink) {
   const auto c = g.add(node_of("c", {sim_task("c", 2)}, track("c")), {a});
   g.add(node_of("d", {sim_task("d", 1)}, track("d")), {b, c});
 
-  const auto results = mgr.run_graph(std::move(g));
+  const auto results = mgr.run_graph(std::move(g)).results;
   ASSERT_EQ(results.size(), 4u);
   double b_start = 0, c_start = 0, bc_end = 0, d_start = 1e18;
   for (const auto& r : results) {
@@ -105,7 +105,7 @@ TEST(StageGraph, LazyBuildRunsAfterDependenciesMerged) {
   };
   g.add(std::move(consumer), {src});
 
-  const auto results = mgr.run_graph(std::move(g));
+  const auto results = mgr.run_graph(std::move(g)).results;
   EXPECT_EQ(results.size(), 4u);  // seed + 3 built jobs
 }
 
@@ -125,7 +125,7 @@ TEST(StageGraph, PostExecAppendsNodesDuringExecution) {
   };
   rct::StageGraph g;
   g.add(node_of("r0", {sim_task("r0", 1)}, extend));
-  const auto results = mgr.run_graph(std::move(g));
+  const auto results = mgr.run_graph(std::move(g)).results;
   EXPECT_EQ(rounds, 4);
   EXPECT_EQ(results.size(), 4u);
 }
@@ -139,7 +139,7 @@ TEST(StageGraph, EmptyNodesCompleteAndUnblockDependents) {
   g.add(node_of("after", {sim_task("t", 1)},
                 [&](rct::StageGraph&) { merged = true; }),
         {a});
-  const auto results = mgr.run_graph(std::move(g));
+  const auto results = mgr.run_graph(std::move(g)).results;
   EXPECT_TRUE(merged);
   EXPECT_EQ(results.size(), 1u);  // the empty node records no results
 }
@@ -162,13 +162,13 @@ TEST(StageGraph, FailedTasksRetryThenPropagate) {
   g.add(node_of("after", {sim_task("after", 1)},
                 [&](rct::StageGraph&) { downstream_ran = true; }),
         {a});
-  const auto results = mgr.run_graph(std::move(g));
+  const auto report = mgr.run_graph(std::move(g));
 
   EXPECT_EQ(attempts, 3);  // two retries, third attempt succeeds
-  EXPECT_EQ(mgr.tasks_retried(), 2u);
-  EXPECT_EQ(mgr.tasks_failed(), 0u);
+  EXPECT_EQ(report.retries, 2u);
+  EXPECT_EQ(report.failed(), 0u);
   EXPECT_TRUE(downstream_ran);
-  EXPECT_EQ(results.size(), 2u);
+  EXPECT_EQ(report.results.size(), 2u);
 
   // Retries exhausted: the failure is recorded and the graph still drains.
   rct::TaskDescription doomed;
@@ -183,9 +183,9 @@ TEST(StageGraph, FailedTasksRetryThenPropagate) {
   g2.add(node_of("after", {sim_task("after", 1)},
                  [&](rct::StageGraph&) { after_failure = true; }),
          {d});
-  mgr2.run_graph(std::move(g2));
-  EXPECT_EQ(mgr2.tasks_retried(), 1u);
-  EXPECT_EQ(mgr2.tasks_failed(), 1u);
+  const auto report2 = mgr2.run_graph(std::move(g2));
+  EXPECT_EQ(report2.retries, 1u);
+  EXPECT_EQ(report2.failed(), 1u);
   EXPECT_TRUE(after_failure);
 }
 
@@ -195,7 +195,7 @@ TEST(StageGraph, TransitionOverheadOnlyOnDependentNodes) {
   rct::StageGraph g;
   const auto a = g.add(node_of("root", {sim_task("root", 1)}));
   g.add(node_of("child", {sim_task("child", 1)}), {a});
-  const auto results = mgr.run_graph(std::move(g));
+  const auto results = mgr.run_graph(std::move(g)).results;
   double root_start = 1e18, root_end = 0, child_start = 1e18;
   for (const auto& r : results) {
     if (r.name == "root") root_start = r.start_time, root_end = r.end_time;
@@ -215,7 +215,7 @@ TEST(StageGraph, CrossPipelineEdgeThrottlesTheFastPipeline) {
   g.add(node_of("a1", {sim_task("a1", 1)}), {a0});
   const auto b0 = g.add(node_of("b0", {sim_task("b0", 1)}), {a0});
   g.add(node_of("b1", {sim_task("b1", 1)}), {b0});
-  const auto results = mgr.run_graph(std::move(g));
+  const auto results = mgr.run_graph(std::move(g)).results;
   double a0_end = 0, b0_start = 1e18;
   for (const auto& r : results) {
     if (r.name == "a0") a0_end = r.end_time;
@@ -261,7 +261,7 @@ TEST(StageGraph, LocalBackendRunsIndependentNodesConcurrently) {
   rct::StageGraph g;
   for (int n = 0; n < 8; ++n) {
     rct::StageNode node;
-    node.name = "n" + std::to_string(n);
+    node.name = std::string("n") + std::to_string(n);
     node.pipeline = "concurrent";
     for (int i = 0; i < 4; ++i) {
       rct::TaskDescription t;
@@ -278,7 +278,7 @@ TEST(StageGraph, LocalBackendRunsIndependentNodesConcurrently) {
     };
     g.add(std::move(node));
   }
-  const auto results = mgr.run_graph(std::move(g));
+  const auto results = mgr.run_graph(std::move(g)).results;
   EXPECT_EQ(results.size(), 32u);
   EXPECT_EQ(merges.load(), 8);
   EXPECT_EQ(order.size(), 8u);
@@ -298,7 +298,7 @@ TEST(StageGraph, PstRunIsTheLinearChainSpecialCase) {
   };
   rct::Pipeline p("pst");
   p.add_stage({"seed", {sim_task("r0", 1)}, extend});
-  const auto results = mgr.run({std::move(p)});
+  const auto results = mgr.run({std::move(p)}).results;
   EXPECT_EQ(rounds, 3);
   ASSERT_EQ(results.size(), 3u);
   // Later stages pay the transition overhead each.
@@ -320,7 +320,7 @@ TEST(StageGraph, DeterministicOnSimBackendAcrossRuns) {
     const auto b = g.add(node_of("b", {sim_task("b", 3)}), {a});
     const auto c = g.add(node_of("c", {sim_task("c", 5)}), {a});
     g.add(node_of("d", {sim_task("d", 1)}), {b, c});
-    const auto results = mgr.run_graph(std::move(g));
+    const auto results = mgr.run_graph(std::move(g)).results;
     std::vector<std::pair<std::string, double>> out;
     for (const auto& r : results) out.emplace_back(r.name, r.end_time);
     return out;
@@ -347,7 +347,7 @@ TEST(StageGraph, PriorityOrderLaunchesCriticalBranchFirst) {
     EXPECT_EQ(g.priority(b), 1.0);
     double b_start = 0, c_start = 0;
     const auto report = mgr.run_graph(std::move(g));
-    for (const auto& r : report) {
+    for (const auto& r : report.results) {
       if (r.name == "b") b_start = r.start_time;
       if (r.name == "c") c_start = r.start_time;
     }
@@ -375,7 +375,7 @@ TEST(StageGraph, AllZeroPrioritiesDegenerateToFifo) {
     g.add(node_of("d", {sim_task("d", 1)}), {b, c});
     std::vector<std::pair<std::string, double>> out;
     const auto report = mgr.run_graph(std::move(g));
-    for (const auto& r : report) out.emplace_back(r.name, r.end_time);
+    for (const auto& r : report.results) out.emplace_back(r.name, r.end_time);
     return out;
   };
   EXPECT_EQ(run_mode(rct::AppManagerOptions::ReadyOrder::kFifo),

@@ -256,7 +256,7 @@ TEST(Entk, StagesRunSequentiallyTasksConcurrently) {
   p.add_stage(s1);
   p.add_stage(s2);
 
-  const auto results = mgr.run({std::move(p)});
+  const auto results = mgr.run({std::move(p)}).results;
   ASSERT_EQ(results.size(), 3u);
   double end_a = 0, start_c = 1e18;
   for (const auto& r : results) {
@@ -277,7 +277,7 @@ TEST(Entk, PipelinesProgressIndependently) {
   rct::Pipeline slow("slow");
   slow.add_stage({"s1", {sim_task("s", 50)}, nullptr});
 
-  const auto results = mgr.run({std::move(fast), std::move(slow)});
+  const auto results = mgr.run({std::move(fast), std::move(slow)}).results;
   double g_end = 0, s_end = 0;
   for (const auto& r : results) {
     if (r.name == "g") g_end = r.end_time;
@@ -304,7 +304,7 @@ TEST(Entk, PostExecAdaptivityAppendsStages) {
 
   rct::Pipeline p("adaptive");
   p.add_stage({"seed", {sim_task("r0", 1)}, extend});
-  const auto results = mgr.run({std::move(p)});
+  const auto results = mgr.run({std::move(p)}).results;
   EXPECT_EQ(rounds, 3);
   EXPECT_EQ(results.size(), 3u);  // r0, r1, r2
 }
@@ -323,10 +323,10 @@ TEST(Entk, HeterogeneousTasksMixInOneStage) {
   mpi.whole_nodes = 2;
   mpi.duration = 5;
   p.add_stage({"mix", {gpu, cpu, mpi}, nullptr});
-  const auto results = mgr.run({std::move(p)});
-  EXPECT_EQ(results.size(), 3u);
-  for (const auto& r : results) EXPECT_TRUE(r.ok);
-  EXPECT_EQ(mgr.tasks_failed(), 0u);
+  const auto report = mgr.run({std::move(p)});
+  EXPECT_EQ(report.results.size(), 3u);
+  for (const auto& r : report.results) EXPECT_TRUE(r.ok);
+  EXPECT_EQ(report.failed(), 0u);
 }
 
 TEST(Entk, WorksOnLocalBackendWithRealPayloads) {
@@ -337,7 +337,7 @@ TEST(Entk, WorksOnLocalBackendWithRealPayloads) {
   rct::Stage s1{"s1", {}, nullptr};
   for (int i = 0; i < 6; ++i) {
     rct::TaskDescription t;
-    t.name = "w" + std::to_string(i);
+    t.name = std::string("w") + std::to_string(i);
     t.payload = [&] { stage1.fetch_add(1); };
     s1.tasks.push_back(std::move(t));
   }

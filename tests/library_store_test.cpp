@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -68,7 +70,7 @@ TEST(LigandStore, WriterReaderRoundTrip) {
     opts.records_per_shard = 7;  // force multiple shards
     chem::LigandStoreWriter w(dir.string(), opts);
     for (int i = 0; i < 20; ++i)
-      w.append("LIG-" + std::to_string(i), "C" + std::string(i % 5 + 1, 'C'));
+      w.append("LIG-" + std::to_string(i), std::string(i % 5 + 2, 'C'));
     w.finish();
     EXPECT_EQ(w.stats().records, 20u);
   }
@@ -78,7 +80,7 @@ TEST(LigandStore, WriterReaderRoundTrip) {
   EXPECT_EQ(store.stats().shards_skipped, 0u);
   for (std::size_t i = 0; i < 20; ++i) {
     EXPECT_EQ(store.id(i), "LIG-" + std::to_string(i));
-    EXPECT_EQ(store.smiles(i), "C" + std::string(i % 5 + 1, 'C'));
+    EXPECT_EQ(store.smiles(i), std::string(i % 5 + 2, 'C'));
   }
   // (shard, offset) addressing round-trips through locate/index_of.
   for (std::size_t i = 0; i < 20; ++i)
@@ -114,18 +116,70 @@ TEST(LigandStore, WriterDedupDropsDuplicateDigests) {
   std::filesystem::remove_all(dir);
 }
 
-// Corruption resilience: damaged shards are skipped and counted (the
-// ml/shards semantics), never fatal, and intact shards keep serving.
+TEST(LigandStore, WriterRejectsZeroRecordsPerShard) {
+  chem::StoreWriterOptions opts;
+  opts.records_per_shard = 0;
+  EXPECT_THROW(chem::LigandStoreWriter(tmp_dir("imp_store_zero").string(),
+                                       opts),
+               std::invalid_argument);
+}
+
+namespace {
+
+/// A hand-built one-record shard: 64-byte header, 8 payload bytes whose
+/// record claims 0xffff-byte id and SMILES fields, one u64 index entry at
+/// file offset 72, and a valid body checksum — so only the declared
+/// `payload_bytes` and the index entry `record_offset` decide whether a
+/// reader stays inside the 80-byte file.
+void write_crafted_shard(const std::filesystem::path& path,
+                         std::uint64_t payload_bytes,
+                         std::uint64_t record_offset) {
+  std::uint8_t bytes[80] = {};
+  const auto put_u64 = [&](std::size_t at, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i)
+      bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  };
+  std::memcpy(bytes, "IMPLIG01", 8);
+  bytes[8] = 1;                  // version
+  put_u64(16, 1);                // record count
+  put_u64(24, payload_bytes);
+  put_u64(32, 72);               // index offset
+  put_u64(40, sizeof bytes);     // file bytes
+  for (int i = 0; i < 4; ++i) bytes[64 + i] = 0xff;  // id_len, smiles_len
+  put_u64(72, record_offset);
+  put_u64(48, chem::fnv1a64(bytes + 64, sizeof bytes - 64));
+  std::ofstream(path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(bytes), sizeof bytes);
+}
+
+}  // namespace
+
+// Corruption resilience: damaged shards are skipped and counted, never
+// fatal, intact shards keep serving, and ML1 scores the survivors exactly
+// as it scores the same ligands from an undamaged store.
 TEST(LigandStore, CorruptShardsAreSkippedAndCounted) {
   const auto dir = tmp_dir("imp_store_corrupt");
   std::filesystem::remove_all(dir);
+  const auto lib = chem::generate_library("COR", 20, 31);
   {
     chem::StoreWriterOptions opts;
     opts.records_per_shard = 5;
     chem::LigandStoreWriter w(dir.string(), opts);
     for (int i = 0; i < 20; ++i)
-      w.append("LIG-" + std::to_string(i), "CCCC");
+      w.append("LIG-" + std::to_string(i), lib.entries[i].smiles);
     w.finish();
+  }
+
+  ml::SurrogateOptions mopts;
+  mopts.epochs = 1;
+  const ml::SurrogateModel model(mopts);
+  std::vector<float> intact(20);
+  {
+    const chem::MmapSource source(chem::LigandStore::open(dir.string()));
+    auto spill = ml::ScoreSpill::in_memory(source.size());
+    ASSERT_EQ(ml::score_ligands(source, model, 0, source.size(), 8, &spill),
+              20u);
+    spill.read(0, intact.data(), intact.size());
   }
 
   // Truncated shard: chop the last shard mid-index.
@@ -147,13 +201,49 @@ TEST(LigandStore, CorruptShardsAreSkippedAndCounted) {
     f.seekp(70);
     f.put('\xff');
   }
+  // Hostile header: payload_bytes = 2^64 - 32, so kHeaderBytes +
+  // payload_bytes wraps to 32, below the declared index offset of 72.
+  write_crafted_shard(dir / "shard-00004.imls", ~std::uint64_t{31}, 0);
 
   auto store = chem::LigandStore::open(dir.string());
   EXPECT_EQ(store.stats().shards_ok, 1u);
-  EXPECT_EQ(store.stats().shards_skipped, 3u);
+  EXPECT_EQ(store.stats().shards_skipped, 4u);
   ASSERT_EQ(store.size(), 5u);  // shard 0 survived
   for (std::size_t i = 0; i < 5; ++i)
     EXPECT_EQ(store.id(i), "LIG-" + std::to_string(i));
+
+  // ML1 over the damaged store scores every survivor, bitwise equal to the
+  // intact store's score for the same ligand.
+  const chem::MmapSource source(std::move(store));
+  auto spill = ml::ScoreSpill::in_memory(source.size());
+  EXPECT_EQ(ml::score_ligands(source, model, 0, source.size(), 8, &spill),
+            source.size());
+  for (std::size_t i = 0; i < source.size(); ++i) {
+    const std::size_t original = std::stoul(source.id(i).substr(4));
+    EXPECT_EQ(spill.at(i), intact[original]) << source.id(i);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A structurally valid shard whose checksummed index entry is forged to
+// 2^64 - 4: a bounds check written as `off + 4 <= payload_bytes` wraps to 0
+// and reads the header as a record. Reads must throw instead, and release()
+// must stay inside the mapping.
+TEST(LigandStore, ForgedIndexOffsetThrowsInsteadOfReading) {
+  const auto dir = tmp_dir("imp_store_forged_index");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  write_crafted_shard(dir / "shard-00000.imls", 8, ~std::uint64_t{3});
+  // Control: the same shard with a genuine offset opens and reads, but its
+  // record overruns the 8-byte payload.
+  write_crafted_shard(dir / "shard-00001.imls", 8, 0);
+
+  const auto store = chem::LigandStore::open(dir.string());
+  ASSERT_EQ(store.stats().shards_ok, 2u);
+  ASSERT_EQ(store.size(), 2u);
+  EXPECT_THROW((void)store.id(0), std::runtime_error);
+  EXPECT_THROW((void)store.smiles(1), std::runtime_error);
+  store.release(0, store.size());
   std::filesystem::remove_all(dir);
 }
 

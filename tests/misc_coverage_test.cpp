@@ -8,26 +8,13 @@
 #include "impeccable/chem/smiles.hpp"
 #include "impeccable/common/stats.hpp"
 #include "impeccable/hpc/machine.hpp"
-#include "impeccable/ml/shards.hpp"
 #include "impeccable/rct/backend.hpp"
 #include "impeccable/rct/entk.hpp"
 
 namespace chem = impeccable::chem;
-namespace ml = impeccable::ml;
 namespace rct = impeccable::rct;
 namespace hpc = impeccable::hpc;
 namespace stats = impeccable::common;
-
-TEST(MiscShards, RejectsZeroPerShard) {
-  EXPECT_THROW(ml::write_shards({}, 0, "/tmp/imp_zero"), std::invalid_argument);
-}
-
-TEST(MiscShards, EmptyShardListYieldsEmptyOutput) {
-  const auto out = ml::run_sharded_inference({}, {}, {.ranks = 2});
-  EXPECT_TRUE(out.scores.empty());
-  EXPECT_EQ(out.shards_processed, 0u);
-  EXPECT_EQ(out.shards_failed, 0u);
-}
 
 TEST(MiscDiversity, MaxMinIsDeterministicPerSeed) {
   std::vector<chem::BitSet> fps;
@@ -64,12 +51,12 @@ TEST(MiscEntk, MakespanAndEmptyPipelines) {
   rct::SimBackend backend(hpc::test_machine(1));
   rct::AppManager mgr(backend);
   // Zero pipelines and an all-empty pipeline both complete trivially.
-  EXPECT_TRUE(mgr.run({}).empty());
+  EXPECT_TRUE(mgr.run({}).results.empty());
   rct::Pipeline p("empty");
   p.add_stage({"nothing", {}, nullptr});
-  const auto results = mgr.run({std::move(p)});
-  EXPECT_TRUE(results.empty());
-  EXPECT_EQ(mgr.tasks_failed(), 0u);
+  const auto report = mgr.run({std::move(p)});
+  EXPECT_TRUE(report.results.empty());
+  EXPECT_EQ(report.failed(), 0u);
 }
 
 TEST(MiscEntk, TaskStateNames) {

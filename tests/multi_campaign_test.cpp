@@ -373,7 +373,7 @@ TEST(RaptorStats, EmptyWorkloadYieldsCleanZeros) {
   EXPECT_EQ(no_workers.worker_utilization, 0.0);
 }
 
-TEST(GraphRunReport, RecordsNodeTimingsAndBacksDeprecatedAccessors) {
+TEST(GraphRunReport, RecordsNodeTimingsAndRunTotals) {
   rct::SimBackend sim(hpc::test_machine(2));
   rct::AppManager mgr(sim, {.stage_transition_overhead = 0.5});
 
@@ -403,7 +403,7 @@ TEST(GraphRunReport, RecordsNodeTimingsAndBacksDeprecatedAccessors) {
   // 1s + 2s of work, the 0.5s transition, and the SimBackend's 0.05s
   // per-task launch overhead twice.
   EXPECT_NEAR(report.makespan, 3.6, 1e-9);
-  EXPECT_NEAR(report.makespan, report.back().end_time, 1e-12);
+  EXPECT_NEAR(report.makespan, report.results.back().end_time, 1e-12);
   EXPECT_EQ(report.completed(), 2u);
   EXPECT_EQ(report.failed(), 0u);
 
@@ -412,15 +412,10 @@ TEST(GraphRunReport, RecordsNodeTimingsAndBacksDeprecatedAccessors) {
   for (const auto& [edge, count] : report.ready_wait_histogram()) binned += count;
   EXPECT_EQ(binned, report.nodes.size());
 
-  // Deprecated accessors mirror the report.
-  EXPECT_EQ(mgr.tasks_completed(), report.completed());
-  EXPECT_EQ(mgr.tasks_failed(), 0u);
-  EXPECT_EQ(mgr.tasks_retried(), 0u);
-  EXPECT_NEAR(mgr.makespan(), report.makespan, 1e-12);
-
-  // The report iterates like the old result vector.
-  EXPECT_FALSE(report.empty());
-  EXPECT_EQ(report.front().name, "a-t");
-  EXPECT_EQ(report.back().name, "b-t");
-  for (const auto& r : report) EXPECT_TRUE(r.ok);
+  // Results arrive in completion order.
+  EXPECT_EQ(report.retries, 0u);
+  ASSERT_FALSE(report.results.empty());
+  EXPECT_EQ(report.results.front().name, "a-t");
+  EXPECT_EQ(report.results.back().name, "b-t");
+  for (const auto& r : report.results) EXPECT_TRUE(r.ok);
 }

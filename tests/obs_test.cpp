@@ -465,7 +465,8 @@ TEST(ObsRecorder, ConcurrentRecordingIsComplete) {
       auto& counter = rec.metrics().counter("spans");
       auto& hist = rec.metrics().histogram("latency");
       for (int i = 0; i < kSpansEach; ++i) {
-        obs::Span span(obs::cat::kPool, "w" + std::to_string(t), &rec);
+        obs::Span span(obs::cat::kPool,
+                       std::string("w").append(std::to_string(t)), &rec);
         counter.add(1);
         hist.observe(1e-3 * (i + 1));
       }

@@ -3,6 +3,8 @@
 // heavy-tailed workload, and the effect of adding masters.
 //
 //   $ ./examples/raptor_throughput
+//
+// Exits 1 unless every configuration completes every request.
 
 #include <cstdio>
 #include <iostream>
@@ -22,6 +24,7 @@ int main() {
               "makespan(s)", "docks/hour", "utilization", "imbalance");
 
   rct::RaptorStats best{};
+  bool all_complete = true;
   for (int masters : {1, 4, 16}) {
     for (int bulk : {16, 128}) {
       rct::RaptorOptions opts;
@@ -32,6 +35,11 @@ int main() {
       std::printf("%-9d %-10d %-14.1f %-18.3e %-12.3f %-10.3f\n", masters,
                   bulk, stats.makespan, stats.throughput_per_hour,
                   stats.worker_utilization, stats.load_imbalance);
+      if (stats.tasks != durations.size()) {
+        std::printf("FAIL: %zu of %zu requests completed\n", stats.tasks,
+                    durations.size());
+        all_complete = false;
+      }
       if (stats.throughput_per_hour > best.throughput_per_hour) best = stats;
     }
   }
@@ -40,5 +48,5 @@ int main() {
   std::printf("\n\nNote: one master saturates on dispatch service time; "
               "sharding workers over several masters restores near-linear "
               "throughput (Sec. 6.1.2 of the paper).\n");
-  return 0;
+  return all_complete ? 0 : 1;
 }

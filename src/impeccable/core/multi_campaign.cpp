@@ -1,6 +1,7 @@
 #include "impeccable/core/multi_campaign.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "impeccable/ml/gemm.hpp"
@@ -41,10 +42,28 @@ MultiCampaignReport MultiCampaign::run() {
 MultiCampaignReport MultiCampaign::run(rct::ExecutionBackend& raw) {
   MultiCampaignReport out;
 
-  rct::ProfiledBackend backend(raw, exec_.recorder);
+  // Task spans go to the caller's recorder, or a private one, on raw's clock:
+  // virtual time on SimBackend, wall time on LocalBackend. Detached and the
+  // clock (which captures raw) cleared on every exit path.
+  std::unique_ptr<obs::Recorder> owned;
+  if (!exec_.recorder) owned = std::make_unique<obs::Recorder>();
+  obs::Recorder& rec = exec_.recorder ? *exec_.recorder : *owned;
+  struct RecorderGuard {
+    rct::ExecutionBackend& backend;
+    obs::Recorder& rec;
+    RecorderGuard(rct::ExecutionBackend& b, obs::Recorder& r)
+        : backend(b), rec(r) {
+      rec.set_clock([&b] { return b.now(); });
+      backend.set_recorder(&rec);
+    }
+    ~RecorderGuard() {
+      backend.set_recorder(nullptr);
+      rec.set_clock({});
+    }
+  } recorder_guard(raw, rec);
   // Every instrumented layer below (dock, ml, fe, pool) records through the
   // global recorder; restored on scope exit.
-  obs::ScopedRecorder scoped(&backend.trace_recorder());
+  obs::ScopedRecorder scoped(&rec);
   struct PoolGuard {
     common::ThreadPool* prev;
     explicit PoolGuard(common::ThreadPool* p) : prev(ml::set_compute_pool(p)) {}
@@ -73,7 +92,7 @@ MultiCampaignReport MultiCampaign::run(rct::ExecutionBackend& raw) {
     CampaignReport& report = out.reports[i];
     auto state = std::make_shared<stages::CampaignState>();
     state->config = &e.config;
-    state->backend = &backend;
+    state->backend = &raw;
     state->report = &report;
     int iters = 0;
     if (e.is_virtual) {
@@ -108,12 +127,12 @@ MultiCampaignReport MultiCampaign::run(rct::ExecutionBackend& raw) {
   mopts.max_retries = exec_.max_retries;
   mopts.stage_transition_overhead = exec_.stage_transition_overhead;
   mopts.ready_order = opts_.ready_order;
-  rct::AppManager manager(backend, mopts);
+  rct::AppManager manager(raw, mopts);
   out.graph = manager.run_graph(std::move(graph));
 
   if (common::ThreadPool* pool = raw.compute_pool())
-    obs::publish_pool_metrics(*pool, backend.trace_recorder().metrics());
-  out.profile = backend.profile();
+    obs::publish_pool_metrics(*pool, rec.metrics());
+  out.profile = rct::SessionProfile::from_trace(rec.snapshot());
   for (CampaignReport& r : out.reports) r.profile = out.profile;
   return out;
 }

@@ -18,8 +18,6 @@ bool ClusterSim::try_place(const SlotRequest& req, Placement& out,
     return forbidden && (*forbidden)[static_cast<std::size_t>(i)];
   };
   if (req.whole_nodes > 0) {
-    if (req.whole_nodes > machine_.nodes)
-      throw std::invalid_argument("ClusterSim: request larger than machine");
     // Find a run of fully free nodes (first fit).
     int run = 0;
     for (int i = 0; i < machine_.nodes; ++i) {
@@ -45,8 +43,6 @@ bool ClusterSim::try_place(const SlotRequest& req, Placement& out,
     return false;
   }
 
-  if (req.cpus > machine_.cores_per_node || req.gpus > machine_.gpus_per_node)
-    throw std::invalid_argument("ClusterSim: single-node request too large");
   for (int i = 0; i < machine_.nodes; ++i) {
     Node& n = nodes_[static_cast<std::size_t>(i)];
     if (!blocked(i) && n.free_cpus >= req.cpus && n.free_gpus >= req.gpus) {
@@ -65,6 +61,16 @@ bool ClusterSim::try_place(const SlotRequest& req, Placement& out,
 }
 
 void ClusterSim::submit(const SlotRequest& req, StartCallback on_start) {
+  // Reject what could never be placed before it enters the queue. A request
+  // for nothing would fit even on a full machine, which would break
+  // drain_queue()'s early exit.
+  if (req.whole_nodes > machine_.nodes)
+    throw std::invalid_argument("ClusterSim: request larger than machine");
+  if (req.whole_nodes <= 0 &&
+      (req.cpus > machine_.cores_per_node || req.gpus > machine_.gpus_per_node))
+    throw std::invalid_argument("ClusterSim: single-node request too large");
+  if (req.cpus <= 0 && req.gpus <= 0 && req.whole_nodes <= 0)
+    throw std::invalid_argument("ClusterSim: request claims no resources");
   // Keep the pending queue sorted by priority (descending); a new request
   // goes after every queued request of equal or higher priority, so equal
   // priorities preserve arrival order and all-zero priorities are pure FIFO.
@@ -142,6 +148,7 @@ void ClusterSim::drain_queue() {
   bool any_blocked = false;
   double blocked_priority = 0.0;
   for (auto it = queue_.begin(); it != queue_.end();) {
+    if (saturated()) break;  // nothing later in the queue can fit either
     const bool restricted =
         any_blocked && it->req.priority < blocked_priority && !reserved.empty();
     Placement where;
@@ -167,6 +174,15 @@ void ClusterSim::drain_queue() {
     }
   }
   if (placed_any) record();
+}
+
+bool ClusterSim::saturated() const {
+  // Every accepted request claims a CPU, a GPU or a whole node, and a node
+  // of a machine with any slots has at least one, so a machine with no free
+  // slot can place nothing.
+  const long cores = machine_.total_cores();
+  const long gpus = machine_.total_gpus();
+  return cores + gpus > 0 && busy_cpus_ >= cores && busy_gpus_ >= gpus;
 }
 
 void ClusterSim::record() {

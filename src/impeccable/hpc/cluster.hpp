@@ -58,6 +58,9 @@ class ClusterSim {
 
   using StartCallback = std::function<void(const Placement&)>;
 
+  /// Throws std::invalid_argument for a request that could never be placed
+  /// (larger than a node or than the machine) or that claims no CPU, no GPU
+  /// and no whole node.
   void submit(const SlotRequest& req, StartCallback on_start);
   void release(const SlotRequest& req, const Placement& where);
 
@@ -92,7 +95,11 @@ class ClusterSim {
   /// Reserve the `count` unreserved nodes closest to fully free (fewest
   /// busy slots) for a blocked whole-node request.
   void reserve_draining_nodes(int count, std::vector<char>& reserved) const;
+  /// Place queued requests in priority order; stops early once the machine
+  /// is saturated().
   void drain_queue();
+  /// No CPU and no GPU free anywhere, so no accepted request can be placed.
+  bool saturated() const;
   void record();
 
   Simulator& sim_;

@@ -50,8 +50,8 @@ class ExecutionBackend {
   /// and higher layers (AppManager stage spans) record through it too.
   /// Null (the default) disables task tracing. Not owned; the recorder must
   /// outlive recorded activity. The span clock is the recorder's clock —
-  /// wire it to now() (ProfiledBackend does this) so SimBackend traces are
-  /// in virtual time and LocalBackend traces in wall time, one schema.
+  /// wire it to now() (MultiCampaign::run does this) so SimBackend traces
+  /// are in virtual time and LocalBackend traces in wall time, one schema.
   virtual void set_recorder(obs::Recorder* rec) { recorder_ = rec; }
   obs::Recorder* recorder() const { return recorder_; }
 
@@ -106,6 +106,7 @@ class SimBackend : public ExecutionBackend {
   hpc::Simulator sim_;
   hpc::ClusterSim cluster_;
   SimBackendOptions opts_;
+  /// Tasks a walltime boundary would kill; tracked only with a walltime.
   std::vector<std::shared_ptr<Running>> running_;
   double next_walltime_ = 0.0;
   bool walltime_scheduled_ = false;

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
-#include <stdexcept>
-
+#include <functional>
 #include <ostream>
 
 #include "impeccable/common/rng.hpp"
+#include "impeccable/hpc/machine.hpp"
 #include "impeccable/obs/json.hpp"
+#include "impeccable/rct/backend.hpp"
+#include "impeccable/rct/raptor_backend.hpp"
 
 namespace impeccable::rct {
 
@@ -42,172 +43,32 @@ void RaptorStats::finalize_derived() {
   load_imbalance = mean_busy > 0 ? max_busy / mean_busy : 0.0;
 }
 
-namespace {
-
-/// One master with its shard of workers and requests.
-struct Master {
-  std::vector<double> requests;   ///< durations, consumed from `next`
-  std::size_t next = 0;
-  double busy_until = 0.0;        ///< master service availability
-  std::vector<int> workers;       ///< worker ids this master serves
-};
-
-struct Worker {
-  double busy = 0.0;        ///< accumulated busy seconds
-  double busy_until = 0.0;  ///< serializes bulk execution on this worker
-  int in_flight_bulks = 0;
-  bool alive = true;
-};
-
-struct Overlay {
-  hpc::Simulator sim;
-  RaptorOptions opts;
-  common::Rng failure_rng{0};
-  std::vector<Master> masters;
-  std::vector<Worker> workers;
-  double last_completion = 0.0;
-  std::size_t completed = 0;
-  int workers_failed = 0;
-  std::size_t bulks_requeued = 0;
-
-  /// A live worker of master `m` other than `except` (or -1).
-  int pick_live_worker(int master_id, int except) {
-    const Master& m = masters[static_cast<std::size_t>(master_id)];
-    int best = -1;
-    for (int w : m.workers) {
-      if (w == except || !workers[static_cast<std::size_t>(w)].alive) continue;
-      if (best == -1 || workers[static_cast<std::size_t>(w)].busy_until <
-                            workers[static_cast<std::size_t>(best)].busy_until)
-        best = w;  // least-loaded live worker
-    }
-    return best;
-  }
-
-  void dispatch(int master_id, int worker_id) {
-    Master& m = masters[static_cast<std::size_t>(master_id)];
-    if (m.next >= m.requests.size()) return;
-    if (!workers[static_cast<std::size_t>(worker_id)].alive) return;
-
-    const std::size_t count =
-        std::min<std::size_t>(opts.bulk_size, m.requests.size() - m.next);
-    std::vector<double> bulk(m.requests.begin() + static_cast<long>(m.next),
-                             m.requests.begin() + static_cast<long>(m.next + count));
-    m.next += count;
-
-    double bulk_work = 0.0;
-    for (double d : bulk) bulk_work += d;
-
-    // Master serializes dispatches: service starts when the master frees up.
-    const double service = opts.bulk_overhead +
-                           opts.per_request_overhead * static_cast<double>(count);
-    m.busy_until = std::max(m.busy_until, sim.now()) + service;
-    const double arrive = m.busy_until;
-
-    ++workers[static_cast<std::size_t>(worker_id)].in_flight_bulks;
-
-    sim.schedule_at(arrive, [this, master_id, worker_id, bulk_work,
-                             bulk = std::move(bulk)]() mutable {
-      Worker& wk = workers[static_cast<std::size_t>(worker_id)];
-      if (!wk.alive) {
-        // Arrived at a dead worker: requeue immediately.
-        --wk.in_flight_bulks;
-        requeue(master_id, worker_id, bulk);
-        return;
-      }
-      // The worker executes the bulk's requests back to back, after any
-      // bulk already running on it.
-      const double begin = std::max(sim.now(), wk.busy_until);
-      // Failure model: the worker may die during this bulk.
-      const bool dies = opts.worker_failure_rate > 0.0 &&
-                        failure_rng.bernoulli(opts.worker_failure_rate);
-      if (dies) {
-        // Dies halfway through: the whole bulk must be re-executed elsewhere
-        // (docking results of a dead executor are lost).
-        const double died_at = begin + 0.5 * bulk_work;
-        wk.busy_until = died_at;
-        wk.busy += 0.5 * bulk_work;
-        sim.schedule_at(died_at, [this, master_id, worker_id,
-                                  bulk = std::move(bulk)]() mutable {
-          Worker& w2 = workers[static_cast<std::size_t>(worker_id)];
-          if (w2.alive) {
-            w2.alive = false;
-            ++workers_failed;
-          }
-          --w2.in_flight_bulks;
-          requeue(master_id, worker_id, bulk);
-        });
-        return;
-      }
-      const double end = begin + bulk_work;
-      wk.busy_until = end;
-      wk.busy += bulk_work;
-      const std::size_t count = bulk.size();
-      sim.schedule_at(end, [this, master_id, worker_id, count] {
-        Worker& wk2 = workers[static_cast<std::size_t>(worker_id)];
-        --wk2.in_flight_bulks;
-        last_completion = sim.now();
-        completed += count;
-        // Refill: keep `prefetch` bulks in flight per worker.
-        while (wk2.alive && wk2.in_flight_bulks < opts.prefetch &&
-               masters[static_cast<std::size_t>(master_id)].next <
-                   masters[static_cast<std::size_t>(master_id)].requests.size()) {
-          dispatch(master_id, worker_id);
-        }
-      });
-    });
-  }
-
-  /// Put a lost bulk back into the master's queue and kick a live worker.
-  void requeue(int master_id, int dead_worker, const std::vector<double>& bulk) {
-    Master& m = masters[static_cast<std::size_t>(master_id)];
-    ++bulks_requeued;
-    m.requests.insert(m.requests.end(), bulk.begin(), bulk.end());
-    const int target = pick_live_worker(master_id, dead_worker);
-    if (target >= 0) dispatch(master_id, target);
-    // If no live worker remains under this master, its residual requests
-    // stall — mirroring a real pilot losing all its executors.
-  }
-};
-
-}  // namespace
-
 RaptorStats run_raptor(const RaptorOptions& opts,
                        const std::vector<double>& durations) {
-  if (opts.masters < 1 || opts.workers < 1)
-    throw std::invalid_argument("run_raptor: need at least one master/worker");
-  if (opts.workers < opts.masters)
-    throw std::invalid_argument("run_raptor: fewer workers than masters");
+  // One node holding every overlay worker's slot: a bulk claims one CPU and
+  // one GPU, so the cluster never limits what the prefetch window admits.
+  hpc::MachineSpec machine;
+  machine.cores_per_node = opts.workers;
+  machine.gpus_per_node = opts.workers;
+  SimBackend sim(machine, {.task_overhead = 0.0});
+  RaptorBackend raptor(sim, {.overlay = opts});  // validates opts
 
-  Overlay ov;
-  ov.opts = opts;
-  ov.failure_rng.reseed(opts.failure_seed);
-  ov.masters.resize(static_cast<std::size_t>(opts.masters));
-  ov.workers.resize(static_cast<std::size_t>(opts.workers));
-
-  // Shard workers and requests across masters round-robin.
-  for (int w = 0; w < opts.workers; ++w)
-    ov.masters[static_cast<std::size_t>(w % opts.masters)].workers.push_back(w);
-  for (std::size_t i = 0; i < durations.size(); ++i)
-    ov.masters[i % static_cast<std::size_t>(opts.masters)].requests.push_back(
-        durations[i]);
-
-  // Initial fill: each master primes its workers with `prefetch` bulks.
-  for (int m = 0; m < opts.masters; ++m) {
-    for (int round = 0; round < opts.prefetch; ++round)
-      for (int w : ov.masters[static_cast<std::size_t>(m)].workers)
-        ov.dispatch(m, w);
-  }
-
-  ov.sim.run();
-
-  RaptorStats stats;
-  stats.tasks = ov.completed;
-  stats.makespan = ov.last_completion;
-  for (const auto& w : ov.workers) stats.worker_busy.push_back(w.busy);
-  stats.workers_failed = ov.workers_failed;
-  stats.bulks_requeued = ov.bulks_requeued;
-  stats.finalize_derived();
-  return stats;
+  // Feed on demand: each completion submits the next request, so at most
+  // workers x prefetch x bulk_size requests are ever outstanding.
+  std::size_t next = 0;
+  std::function<void()> feed = [&] {
+    if (next == durations.size()) return;
+    TaskDescription task;
+    task.name = "dock";
+    task.duration = durations[next++];
+    raptor.submit(std::move(task), [&feed](const TaskResult&) { feed(); });
+  };
+  const std::size_t window = static_cast<std::size_t>(opts.workers) *
+                             static_cast<std::size_t>(opts.prefetch) *
+                             static_cast<std::size_t>(opts.bulk_size);
+  while (next < std::min(window, durations.size())) feed();
+  raptor.drain();
+  return raptor.stats();
 }
 
 std::vector<double> docking_durations(std::size_t count, double mean_seconds,

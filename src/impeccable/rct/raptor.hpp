@@ -3,17 +3,17 @@
 //
 // A master/worker overlay built for very high-throughput, very short tasks
 // (docking calls): masters dispatch function requests to workers in *bulks*
-// (limiting communication frequency), balance load by least-loaded worker
-// selection over round-robin candidates, and shard the worker set across
-// several masters so no single master becomes a bottleneck. The simulation
-// reproduces the scaling study: near-linear scaling to thousands of nodes
-// with sustained tens-of-millions docks/hour.
+// (limiting communication frequency), a prefetch window keeps every worker
+// fed while the next bulk is in transit, and bulks are sharded across
+// several masters so no single master becomes a bottleneck. The overlay
+// itself is RaptorBackend (raptor_backend.hpp); run_raptor() drives it on a
+// SimBackend to reproduce the scaling study: near-linear scaling to
+// thousands of nodes with sustained tens-of-millions docks/hour.
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <vector>
-
-#include "impeccable/hpc/des.hpp"
 
 namespace impeccable::rct {
 
@@ -27,21 +27,24 @@ struct RaptorOptions {
   double per_request_overhead = 2e-5;
   /// In-flight bulks per worker (prefetch depth hiding dispatch latency).
   int prefetch = 2;
-  /// Probability that a worker dies while executing a bulk (node failures,
-  /// OOM-killed executors). The master requeues the lost bulk onto its live
-  /// workers — tasks are never lost, throughput degrades gracefully.
+  /// Probability in [0, 1) that a worker dies while executing a bulk (node
+  /// failures, OOM-killed executors). Half the bulk's work is charged and the
+  /// master requeues the whole bulk; a replacement executor takes the dead
+  /// one's slot, so tasks are never lost and capacity stays the same.
   double worker_failure_rate = 0.0;
   std::uint64_t failure_seed = 0xfa11;
 };
 
 struct RaptorStats {
   std::size_t tasks = 0;
-  double makespan = 0.0;            ///< virtual seconds
+  /// First bulk dispatch -> last bulk completion, backend seconds.
+  double makespan = 0.0;
   double throughput_per_hour = 0.0; ///< tasks per hour
   double worker_utilization = 0.0;  ///< busy time / (workers * makespan)
-  double load_imbalance = 0.0;      ///< max worker busy / mean worker busy
-  std::vector<double> worker_busy;  ///< per-worker busy seconds
-  int workers_failed = 0;
+  double load_imbalance = 0.0;      ///< max lane busy / mean lane busy
+  /// Busy seconds per lane; bulk `id` is charged to lane id mod workers.
+  std::vector<double> worker_busy;
+  int workers_failed = 0;           ///< worker deaths (one per lost bulk)
   std::size_t bulks_requeued = 0;
 
   /// One JSON object (obs::json writer — deterministic doubles).
@@ -54,9 +57,12 @@ struct RaptorStats {
   void finalize_derived();
 };
 
-/// Execute `durations` (seconds per request) through the overlay on a fresh
-/// simulator; requests are assigned to masters round-robin up front (the
-/// paper iterates compound lists round-robin) and dispatched on demand.
+/// Execute `durations` (seconds per request, in order) through a
+/// RaptorBackend over a fresh one-node SimBackend with `workers` slots and
+/// no launch overhead. Requests are fed on demand, at most
+/// workers x prefetch x bulk_size outstanding; bulk `id` goes to master
+/// id mod masters. Throws std::invalid_argument on an invalid `opts` (see
+/// RaptorBackend).
 RaptorStats run_raptor(const RaptorOptions& opts,
                        const std::vector<double>& durations);
 

@@ -9,10 +9,19 @@ namespace impeccable::rct {
 RaptorBackend::RaptorBackend(ExecutionBackend& inner,
                              const RaptorBackendOptions& opts)
     : inner_(inner), opts_(opts), failure_rng_(opts.overlay.failure_seed) {
-  if (opts_.overlay.masters < 1 || opts_.overlay.workers < 1)
+  const RaptorOptions& o = opts_.overlay;
+  if (o.masters < 1 || o.workers < 1)
     throw std::invalid_argument("RaptorBackend: need at least one master/worker");
-  if (opts_.overlay.bulk_size < 1)
+  if (o.masters > o.workers)
+    throw std::invalid_argument("RaptorBackend: fewer workers than masters");
+  if (o.bulk_size < 1)
     throw std::invalid_argument("RaptorBackend: bulk_size must be >= 1");
+  if (o.prefetch < 1)
+    throw std::invalid_argument("RaptorBackend: prefetch must be >= 1");
+  // Rate 1 kills every bulk, so nothing would ever complete.
+  if (!(o.worker_failure_rate >= 0.0 && o.worker_failure_rate < 1.0))
+    throw std::invalid_argument(
+        "RaptorBackend: worker_failure_rate must be in [0, 1)");
   master_busy_until_.assign(static_cast<std::size_t>(opts_.overlay.masters),
                             0.0);
   lane_busy_.assign(static_cast<std::size_t>(opts_.overlay.workers), 0.0);
@@ -71,7 +80,7 @@ void RaptorBackend::flush() {
 void RaptorBackend::launch(std::shared_ptr<Bulk> bulk) {
   {
     std::lock_guard lock(mu_);
-    const int window = opts_.overlay.workers * std::max(1, opts_.overlay.prefetch);
+    const int window = opts_.overlay.workers * opts_.overlay.prefetch;
     if (in_flight_ >= window) {
       held_.push_back(std::move(bulk));
       return;

@@ -1,25 +1,26 @@
 #pragma once
 // RaptorBackend — the RAPTOR master/worker overlay as an ExecutionBackend
-// decorator (Sec. 6.1.2, Fig. 3).
+// decorator (Sec. 6.1.2, Fig. 3), and the repo's only model of it:
+// run_raptor() (raptor.hpp) is a driver over this class on a SimBackend.
 //
-// run_raptor() simulates the overlay standalone; this adapter puts the same
-// master/bulk mechanics on the live task path so graph scheduling and bulk
-// dispatch interact. Tasks whose name matches a routed prefix (per-ligand
-// "dock-*" requests, S1's "dock-chunk-*" shards) are coalesced into bulks:
-// one bulk becomes one aggregated task on the inner backend — duration the
-// sum of its members, priority their maximum, one worker-sized resource
-// request — and its completion fans back out into per-member TaskResults,
-// so AppManager retry/merge logic never sees the overlay. Master-side
-// dispatch costs (bulk_overhead + per_request_overhead · size) serialize on
-// a modeled master shard, and the prefetch window (workers × prefetch)
-// bounds in-flight bulks exactly like the standalone overlay. Everything
-// not routed passes straight through.
+// Tasks whose name matches a routed prefix (per-ligand "dock-*" requests,
+// S1's "dock-chunk-*" shards) are coalesced into bulks: one bulk becomes one
+// aggregated task on the inner backend — duration the sum of its members,
+// priority their maximum, one worker-sized resource request — and its
+// completion fans back out into per-member TaskResults, so AppManager
+// retry/merge logic never sees the overlay. Bulk `id` is served by master
+// id mod masters: each master serializes its dispatch costs
+// (bulk_overhead + per_request_overhead · size). The prefetch window
+// (workers × prefetch) bounds in-flight bulks; later bulks wait until a
+// completion frees a slot. Busy time is charged per lane, lane = id mod
+// workers. Everything not routed passes straight through.
 //
 // A per-member failure (payload threw) fails only that member; an inner
 // task failure (e.g. a pilot-walltime kill) fails every member of the bulk
 // — either way the members resurface individually and re-enter bulking when
 // AppManager resubmits them. The optional worker-failure model requeues the
-// whole bulk after charging half its work, mirroring run_raptor.
+// whole bulk after charging half its work; the bulk keeps its window slot,
+// so capacity stays the same (a replacement executor takes over).
 
 #include <cstdint>
 #include <deque>
@@ -37,8 +38,7 @@ namespace impeccable::rct {
 
 struct RaptorBackendOptions {
   /// Overlay geometry and costs — masters, workers, bulk_size, per-bulk and
-  /// per-request master overheads, prefetch depth, failure model — reused
-  /// wholesale from the standalone overlay.
+  /// per-request master overheads, prefetch depth, failure model.
   RaptorOptions overlay;
   /// Tasks whose name starts with one of these prefixes route through the
   /// overlay; everything else passes straight to the inner backend. The
@@ -54,6 +54,8 @@ struct RaptorBackendOptions {
 /// ExecutionBackend decorator that maps routed tasks into RAPTOR bulks.
 class RaptorBackend : public ExecutionBackend {
  public:
+  /// Throws std::invalid_argument unless 1 <= masters <= workers,
+  /// bulk_size >= 1, prefetch >= 1 and worker_failure_rate is in [0, 1).
   explicit RaptorBackend(ExecutionBackend& inner,
                          const RaptorBackendOptions& opts = {});
 

@@ -226,8 +226,9 @@ TEST(StageGraph, CrossPipelineEdgeThrottlesTheFastPipeline) {
 
 TEST(StageGraph, EmitsStageSpansPerNode) {
   obs::Recorder rec;
-  rct::SimBackend sim(hpc::test_machine(2));
-  rct::ProfiledBackend backend(sim, &rec);
+  rct::SimBackend backend(hpc::test_machine(2));
+  rec.set_clock([&backend] { return backend.now(); });
+  backend.set_recorder(&rec);
   rct::AppManager mgr(backend, {.stage_transition_overhead = 0.0});
   rct::StageGraph g;
   const auto a = g.add(node_of("alpha", {sim_task("t1", 1)}));

@@ -507,8 +507,10 @@ TEST(ObsRecorder, ScopedInstallAndRestore) {
 // ------------------------------------------------------ backends + profiler
 
 TEST(ObsBackend, SimBackendSpansUseVirtualTime) {
-  rct::SimBackend inner(hpc::test_machine(1));
-  rct::ProfiledBackend backend(inner);
+  obs::Recorder rec;
+  rct::SimBackend backend(hpc::test_machine(1));
+  rec.set_clock([&backend] { return backend.now(); });
+  backend.set_recorder(&rec);
   for (int i = 0; i < 3; ++i) {
     rct::TaskDescription t;
     t.name = "t" + std::to_string(i);
@@ -518,7 +520,7 @@ TEST(ObsBackend, SimBackendSpansUseVirtualTime) {
   }
   backend.drain();
 
-  const obs::Trace trace = backend.trace_recorder().snapshot();
+  const obs::Trace trace = rec.snapshot();
   ASSERT_EQ(trace.spans.size(), 3u);
   for (const auto& s : trace.spans) {
     EXPECT_STREQ(s.category, obs::cat::kTask);
@@ -527,7 +529,7 @@ TEST(ObsBackend, SimBackendSpansUseVirtualTime) {
     EXPECT_NEAR(s.duration(), 2.05, 1e-6);
   }
 
-  const auto profile = backend.profile();
+  const auto profile = rct::SessionProfile::from_trace(rec.snapshot());
   ASSERT_EQ(profile.tasks.size(), 3u);
   for (const auto& r : profile.tasks) {
     EXPECT_TRUE(r.ok);
@@ -539,8 +541,10 @@ TEST(ObsBackend, SimBackendSpansUseVirtualTime) {
 TEST(ObsBackend, WalltimeKillIsVisibleInProfile) {
   rct::SimBackendOptions opts;
   opts.pilot_walltime = 5.0;
-  rct::SimBackend inner(hpc::test_machine(1), opts);
-  rct::ProfiledBackend backend(inner);
+  obs::Recorder recorder;
+  rct::SimBackend backend(hpc::test_machine(1), opts);
+  recorder.set_clock([&backend] { return backend.now(); });
+  backend.set_recorder(&recorder);
 
   rct::TaskDescription t;
   t.name = "doomed";
@@ -551,7 +555,7 @@ TEST(ObsBackend, WalltimeKillIsVisibleInProfile) {
   backend.drain();
   EXPECT_TRUE(failed);
 
-  const auto profile = backend.profile();
+  const auto profile = rct::SessionProfile::from_trace(recorder.snapshot());
   ASSERT_EQ(profile.tasks.size(), 1u);
   const auto& rec = profile.tasks[0];
   EXPECT_FALSE(rec.ok);
@@ -573,8 +577,9 @@ TEST(ObsBackend, WalltimeKillIsVisibleInProfile) {
 
 TEST(ObsBackend, BorrowedRecorderSeesTaskAndStageSpans) {
   obs::Recorder rec;
-  rct::SimBackend inner(hpc::test_machine(1));
-  rct::ProfiledBackend backend(inner, &rec);
+  rct::SimBackend backend(hpc::test_machine(1));
+  rec.set_clock([&backend] { return backend.now(); });
+  backend.set_recorder(&rec);
 
   rct::Pipeline pipe("p");
   rct::Stage stage;

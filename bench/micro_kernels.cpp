@@ -6,6 +6,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "impeccable/chem/depiction.hpp"
 #include "impeccable/chem/fingerprint.hpp"
 #include "impeccable/chem/library.hpp"
@@ -17,6 +20,8 @@
 #include "impeccable/chem/scaffold.hpp"
 #include "impeccable/chem/substructure.hpp"
 #include "impeccable/common/stats.hpp"
+#include "impeccable/common/thread_pool.hpp"
+#include "impeccable/ml/gemm.hpp"
 #include "impeccable/ml/lof.hpp"
 #include "impeccable/ml/loss.hpp"
 #include "impeccable/ml/surrogate.hpp"
@@ -80,13 +85,22 @@ static void BM_MdStep(benchmark::State& state) {
 }
 BENCHMARK(BM_MdStep)->Arg(60)->Arg(120)->Arg(240);
 
+// Per-image surrogate inference over one full predict chunk (64 images);
+// the argument is the compute-pool size (1 = no pool, the serial path).
 static void BM_SurrogateInference(benchmark::State& state) {
+  const std::size_t threads = static_cast<std::size_t>(state.range(0));
+  std::unique_ptr<impeccable::common::ThreadPool> pool;
+  if (threads > 1)
+    pool = std::make_unique<impeccable::common::ThreadPool>(threads);
+  ml::set_compute_pool(pool.get());
   ml::SurrogateModel model;
-  const auto img = chem::depict(chem::parse_smiles("CC(=O)Oc1ccccc1C(=O)O"));
-  for (auto _ : state) benchmark::DoNotOptimize(model.predict(img));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  const std::vector<chem::Image> images(
+      64, chem::depict(chem::parse_smiles("CC(=O)Oc1ccccc1C(=O)O")));
+  for (auto _ : state) benchmark::DoNotOptimize(model.predict_batch(images));
+  ml::set_compute_pool(nullptr);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
 }
-BENCHMARK(BM_SurrogateInference);
+BENCHMARK(BM_SurrogateInference)->Arg(1)->Arg(4)->UseRealTime();
 
 static void BM_SmilesParse(benchmark::State& state) {
   const std::string s = "CC(C)Cc1ccc(cc1)C(C)C(=O)O";

@@ -1,10 +1,12 @@
 // RAPTOR master/worker overlay demo: sustained docking throughput on a
 // simulated Summit partition, showing bulk dispatch, load balancing over a
-// heavy-tailed workload, and the effect of adding masters.
+// heavy-tailed workload, and the effect of adding masters — both where one
+// master keeps up and where it saturates on dispatch service time.
 //
 //   $ ./examples/raptor_throughput
 //
-// Exits 1 unless every configuration completes every request.
+// Exits 1 unless every configuration completes every request and, in the
+// saturating regime, 16 masters beat 1.
 
 #include <cstdio>
 #include <iostream>
@@ -45,8 +47,37 @@ int main() {
   }
   std::printf("\nbest configuration (JSON):\n");
   best.to_json(std::cout);
-  std::printf("\n\nNote: one master saturates on dispatch service time; "
-              "sharding workers over several masters restores near-linear "
-              "throughput (Sec. 6.1.2 of the paper).\n");
-  return all_complete ? 0 : 1;
+
+  // A master serves a 16-request bulk in 2.3 ms (~6900 requests/s) against
+  // ~1540 requests/s of worker capacity above, so one master keeps up. Short
+  // docks, small bulks and a slower master turn that around.
+  const auto short_docks = rct::docking_durations(20000, 0.05, 4);
+  std::printf("\n\nsaturating regime: %zu docks of ~0.05 s, 256 workers, "
+              "bulk 4, 5 ms master service per bulk\n", short_docks.size());
+  std::printf("%-9s %-18s %-12s\n", "masters", "docks/hour", "utilization");
+  auto saturating = [&](int masters) {
+    rct::RaptorOptions opts;
+    opts.masters = masters;
+    opts.workers = 256;
+    opts.bulk_size = 4;
+    opts.bulk_overhead = 5e-3;
+    const auto stats = rct::run_raptor(opts, short_docks);
+    std::printf("%-9d %-18.3e %-12.3f\n", masters, stats.throughput_per_hour,
+                stats.worker_utilization);
+    if (stats.tasks != short_docks.size()) {
+      std::printf("FAIL: %zu of %zu requests completed\n", stats.tasks,
+                  short_docks.size());
+      all_complete = false;
+    }
+    return stats.throughput_per_hour;
+  };
+  const double one = saturating(1), sixteen = saturating(16);
+  const bool sharding_helps = sixteen > one;
+  std::printf("\nOne master keeps up with 768 workers when its service time "
+              "is short against the docks; with short docks and small bulks "
+              "it saturates, and sharding over 16 masters gives %.1fx its "
+              "throughput (Sec. 6.1.2 of the paper).\n",
+              one > 0.0 ? sixteen / one : 0.0);
+  if (!sharding_helps) std::printf("FAIL: 16 masters did not beat 1\n");
+  return all_complete && sharding_helps ? 0 : 1;
 }

@@ -26,7 +26,9 @@
 #   6. native preset (-march=native Release): the `dock`-labelled suite —
 #      the batched SIMD scorer's bitwise-equivalence gate must hold under
 #      the widest vectorization the host supports, not just the portable
-#      default codegen.
+#      default codegen — and the `ml`-labelled suite (GEMM + layers +
+#      surrogate), where FMA contraction is the place a vectorized loop and
+#      its scalar tail could diverge.
 #
 # Usage: scripts/check.sh [-j N] [-q]
 #   -q  quick: default-preset build, tests, and lint only (skip sanitizers
@@ -117,5 +119,8 @@ cmake --build --preset native -j "$JOBS"
 
 echo "== native: dock-labeled tests (batched-vs-scalar equivalence) =="
 ctest --preset native-dock -j "$JOBS"
+
+echo "== native: ml-labeled tests (vectorized GEMM/layer bitwise gates) =="
+ctest --preset native-ml -j "$JOBS"
 
 echo "== all checks passed =="

@@ -46,6 +46,9 @@ void gemm_rows_nn(std::size_t i0, std::size_t i1, int N, int K, float alpha,
         const float x2 = alpha * a2[k];
         const float x3 = alpha * a3[k];
         const float* b = B + static_cast<std::size_t>(k) * ldb;
+        // Vectorized across j only: the four C rows are distinct, and each
+        // element still takes exactly one += per k, in ascending k.
+#pragma omp simd
         for (int j = 0; j < N; ++j) {
           const float bv = b[j];
           c0[j] += x0 * bv;
@@ -61,6 +64,7 @@ void gemm_rows_nn(std::size_t i0, std::size_t i1, int N, int K, float alpha,
       for (int k = k0; k < k1; ++k) {
         const float x = alpha * a[k];
         const float* b = B + static_cast<std::size_t>(k) * ldb;
+#pragma omp simd
         for (int j = 0; j < N; ++j) c[j] += x * b[j];
       }
     }

@@ -19,6 +19,47 @@ Tensor Layer::infer(const Tensor&) const {
   throw std::logic_error("Layer::infer: layer has no inference-only path");
 }
 
+namespace {
+
+/// Run body(lo, hi) over consecutive image ranges of `grain` images that
+/// cover [0, n), fanned out over the compute pool when it has more than one
+/// worker. Every caller writes only the output slabs of its own images, so
+/// results never depend on the pool size or on the chunking.
+template <typename Body>
+void for_image_chunks(std::size_t n, std::size_t grain, const Body& body) {
+  grain = std::max<std::size_t>(1, grain);
+  const std::size_t chunks = (n + grain - 1) / grain;
+  auto run = [&](std::size_t c) {
+    body(c * grain, std::min(n, (c + 1) * grain));
+  };
+  common::ThreadPool* pool = compute_pool();
+  if (pool && pool->size() > 1 && chunks > 1) {
+    pool->parallel_for(0, chunks, run, 1);
+  } else {
+    for (std::size_t c = 0; c < chunks; ++c) run(c);
+  }
+}
+
+/// Images per chunk for the convolutions: one im2col buffer per chunk, one
+/// chunk in flight per thread — the peak of one buffer per running image —
+/// and four chunks per thread (the caller included) to keep the pool
+/// balanced.
+std::size_t conv_grain(std::size_t images) {
+  const common::ThreadPool* pool = compute_pool();
+  const std::size_t chunks = 4 * (pool ? pool->size() + 1 : 1);
+  return (images + chunks - 1) / chunks;
+}
+
+/// Images per chunk for the element-wise layers: enough that one pool job
+/// streams ~128 KiB of input, so small per-image tensors (the dense tail)
+/// stay on the calling thread.
+std::size_t elementwise_grain(std::size_t floats_per_image) {
+  constexpr std::size_t kChunkFloats = 32 * 1024;
+  return kChunkFloats / std::max<std::size_t>(1, floats_per_image);
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------- Dense
 
 Dense::Dense(int in, int out, common::Rng& rng)
@@ -73,22 +114,37 @@ std::vector<Param> Dense::params() {
 
 // ---------------------------------------------------------------- ReLU
 
-Tensor ReLU::forward(const Tensor& x) {
-  mask_ = Tensor(x.shape());
+Tensor ReLU::apply(const Tensor& x, Tensor* mask) const {
   Tensor y(x.shape());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const bool on = x[i] > 0.0f;
-    mask_[i] = on ? 1.0f : 0.0f;
-    y[i] = on ? x[i] : 0.0f;
-  }
+  if (mask) *mask = Tensor(x.shape());
+  const std::size_t n = x.rank() > 0 ? static_cast<std::size_t>(x.dim(0)) : 1;
+  const std::size_t per = n > 0 ? x.size() / n : 0;
+  // `x > 0 ? x : 0` maps NaN and -0 to +0; the mask is 1 exactly where the
+  // value passed through.
+  for_image_chunks(n, elementwise_grain(per), [&](std::size_t lo, std::size_t hi) {
+    const std::size_t count = (hi - lo) * per;
+    const float* xs = x.data() + lo * per;
+    float* ys = y.data() + lo * per;
+    if (mask) {
+      float* ms = mask->data() + lo * per;
+#pragma omp simd
+      for (std::size_t i = 0; i < count; ++i) {
+        const bool on = xs[i] > 0.0f;
+        ms[i] = on ? 1.0f : 0.0f;
+        ys[i] = on ? xs[i] : 0.0f;
+      }
+    } else {
+#pragma omp simd
+      for (std::size_t i = 0; i < count; ++i)
+        ys[i] = xs[i] > 0.0f ? xs[i] : 0.0f;
+    }
+  });
   return y;
 }
 
-Tensor ReLU::infer(const Tensor& x) const {
-  Tensor y(x.shape());
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
-  return y;
-}
+Tensor ReLU::forward(const Tensor& x) { return apply(x, &mask_); }
+
+Tensor ReLU::infer(const Tensor& x) const { return apply(x, nullptr); }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
   check_same_shape(grad_out, mask_, "ReLU::backward");
@@ -198,24 +254,21 @@ Tensor Conv3x3::apply(const Tensor& x) const {
   // Per image: Y_b (cout × hw) = bias + W (cout × cin*9) · im2col(x_b).
   // Images write disjoint output slabs, so fanning out over the pool keeps
   // results identical to the serial pass.
-  auto run_image = [&](std::size_t b) {
+  const std::size_t images = static_cast<std::size_t>(n);
+  for_image_chunks(images, conv_grain(images), [&](std::size_t lo, std::size_t hi) {
     std::vector<float> col(static_cast<std::size_t>(kdim) * hw);
-    im2col3x3(x.data() + b * cin * hw, cin, h, w, col.data());
-    float* yb = y.data() + b * cout * hw;
-    for (int co = 0; co < cout; ++co)
-      std::fill(yb + static_cast<std::size_t>(co) * hw,
-                yb + static_cast<std::size_t>(co + 1) * hw,
-                bias[static_cast<std::size_t>(co)]);
-    gemm(Trans::No, Trans::No, cout, static_cast<int>(hw), kdim, 1.0f,
-         weight.data(), kdim, col.data(), static_cast<int>(hw), 1.0f, yb,
-         static_cast<int>(hw));
-  };
-  common::ThreadPool* pool = compute_pool();
-  if (pool && pool->size() > 1 && n > 1) {
-    pool->parallel_for(0, static_cast<std::size_t>(n), run_image, 1);
-  } else {
-    for (std::size_t b = 0; b < static_cast<std::size_t>(n); ++b) run_image(b);
-  }
+    for (std::size_t b = lo; b < hi; ++b) {
+      im2col3x3(x.data() + b * cin * hw, cin, h, w, col.data());
+      float* yb = y.data() + b * cout * hw;
+      for (int co = 0; co < cout; ++co)
+        std::fill(yb + static_cast<std::size_t>(co) * hw,
+                  yb + static_cast<std::size_t>(co + 1) * hw,
+                  bias[static_cast<std::size_t>(co)]);
+      gemm(Trans::No, Trans::No, cout, static_cast<int>(hw), kdim, 1.0f,
+           weight.data(), kdim, col.data(), static_cast<int>(hw), 1.0f, yb,
+           static_cast<int>(hw));
+    }
+  });
   return y;
 }
 
@@ -236,24 +289,21 @@ Tensor Conv3x3::backward(const Tensor& grad_out) {
   Tensor grad_in({n, cin, h, w});
   // Pass 1 — input gradients, independent per image (disjoint slabs, safe to
   // fan out): dcol_b = W^T · g_b, then fold back with col2im.
-  auto run_image = [&](std::size_t b) {
+  const std::size_t images = static_cast<std::size_t>(n);
+  for_image_chunks(images, conv_grain(images), [&](std::size_t lo, std::size_t hi) {
     std::vector<float> dcol(static_cast<std::size_t>(kdim) * hw);
-    gemm(Trans::Yes, Trans::No, kdim, static_cast<int>(hw), cout, 1.0f,
-         weight.data(), kdim, grad_out.data() + b * cout * hw,
-         static_cast<int>(hw), 0.0f, dcol.data(), static_cast<int>(hw));
-    col2im3x3(dcol.data(), cin, h, w, grad_in.data() + b * cin * hw);
-  };
-  common::ThreadPool* pool = compute_pool();
-  if (pool && pool->size() > 1 && n > 1) {
-    pool->parallel_for(0, static_cast<std::size_t>(n), run_image, 1);
-  } else {
-    for (std::size_t b = 0; b < static_cast<std::size_t>(n); ++b) run_image(b);
-  }
+    for (std::size_t b = lo; b < hi; ++b) {
+      gemm(Trans::Yes, Trans::No, kdim, static_cast<int>(hw), cout, 1.0f,
+           weight.data(), kdim, grad_out.data() + b * cout * hw,
+           static_cast<int>(hw), 0.0f, dcol.data(), static_cast<int>(hw));
+      col2im3x3(dcol.data(), cin, h, w, grad_in.data() + b * cin * hw);
+    }
+  });
   // Pass 2 — parameter gradients, accumulated serially in ascending image
   // order so results never depend on the pool size:
   // dW += g_b · im2col(x_b)^T, db += row sums of g_b.
   std::vector<float> col(static_cast<std::size_t>(kdim) * hw);
-  for (std::size_t b = 0; b < static_cast<std::size_t>(n); ++b) {
+  for (std::size_t b = 0; b < images; ++b) {
     im2col3x3(input_.data() + b * cin * hw, cin, h, w, col.data());
     const float* gb = grad_out.data() + b * cout * hw;
     gemm(Trans::No, Trans::Yes, cout, kdim, static_cast<int>(hw), 1.0f, gb,
@@ -274,34 +324,66 @@ std::vector<Param> Conv3x3::params() {
 
 // ---------------------------------------------------------------- MaxPool2
 
-Tensor MaxPool2::apply(const Tensor& x, std::vector<int>* argmax) const {
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+namespace {
+
+/// 2x2/stride-2 max over one image's (c, h, w) slab at flat offset `base`.
+/// Taps go (0,0), (0,1), (1,0), (1,1) from a -1e30 seed with a strict `>`,
+/// so NaN never wins, ties keep the first tap, and a window with no tap
+/// above -1e30 yields -1e30 with argmax 0.
+template <bool kArgmax>
+void maxpool2_image(const float* x, int c, int h, int w, int base, float* y,
+                    int* argmax) {
   const int oh = h / 2, ow = w / 2;
-  Tensor y({n, c, oh, ow});
-  if (argmax) argmax->assign(y.size(), 0);
-  std::size_t out_idx = 0;
-  for (int b = 0; b < n; ++b) {
-    for (int ch = 0; ch < c; ++ch) {
-      for (int i = 0; i < oh; ++i) {
-        for (int j = 0; j < ow; ++j, ++out_idx) {
-          float best = -1e30f;
-          int best_flat = 0;
-          for (int di = 0; di < 2; ++di) {
-            for (int dj = 0; dj < 2; ++dj) {
-              const int ii = 2 * i + di, jj = 2 * j + dj;
-              const float v = x.at(b, ch, ii, jj);
-              if (v > best) {
-                best = v;
-                best_flat = ((b * c + ch) * h + ii) * w + jj;
-              }
-            }
-          }
-          y[out_idx] = best;
-          if (argmax) (*argmax)[out_idx] = best_flat;
-        }
+  for (int ch = 0; ch < c; ++ch) {
+    for (int i = 0; i < oh; ++i) {
+      const int row0 = (ch * h + 2 * i) * w;
+      const float* r0 = x + row0;
+      const float* r1 = r0 + w;
+      const std::size_t out = static_cast<std::size_t>(ch * oh + i) * ow;
+      float* yr = y + out;
+      int* ar = kArgmax ? argmax + out : nullptr;
+#pragma omp simd
+      for (int j = 0; j < ow; ++j) {
+        const int tap = base + row0 + 2 * j;
+        float best = -1e30f;
+        int best_flat = 0;
+        auto take = [&](float v, int at) {
+          const bool gt = v > best;
+          best_flat = gt ? at : best_flat;
+          best = gt ? v : best;
+        };
+        take(r0[2 * j], tap);
+        take(r0[2 * j + 1], tap + 1);
+        take(r1[2 * j], tap + w);
+        take(r1[2 * j + 1], tap + w + 1);
+        yr[j] = best;
+        if constexpr (kArgmax) ar[j] = best_flat;
       }
     }
   }
+}
+
+}  // namespace
+
+Tensor MaxPool2::apply(const Tensor& x, std::vector<int>* argmax) const {
+  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  Tensor y({n, c, h / 2, w / 2});
+  if (argmax) argmax->assign(y.size(), 0);
+  const std::size_t in_per = static_cast<std::size_t>(c) * h * w;
+  const std::size_t out_per = static_cast<std::size_t>(c) * (h / 2) * (w / 2);
+  for_image_chunks(static_cast<std::size_t>(n), elementwise_grain(in_per),
+                   [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t b = lo; b < hi; ++b) {
+      const float* xb = x.data() + b * in_per;
+      float* yb = y.data() + b * out_per;
+      const int base = static_cast<int>(b * in_per);
+      if (argmax)
+        maxpool2_image<true>(xb, c, h, w, base, yb,
+                             argmax->data() + b * out_per);
+      else
+        maxpool2_image<false>(xb, c, h, w, base, yb, nullptr);
+    }
+  });
   return y;
 }
 

@@ -60,6 +60,8 @@ class ReLU : public Layer {
   Tensor infer(const Tensor& x) const override;
 
  private:
+  /// Shared forward/infer compute; `mask` may be null (inference).
+  Tensor apply(const Tensor& x, Tensor* mask) const;
   Tensor mask_;
 };
 

@@ -28,9 +28,10 @@ struct RaptorOptions {
   /// In-flight bulks per worker (prefetch depth hiding dispatch latency).
   int prefetch = 2;
   /// Probability in [0, 1) that a worker dies while executing a bulk (node
-  /// failures, OOM-killed executors). Half the bulk's work is charged and the
-  /// master requeues the whole bulk; a replacement executor takes the dead
-  /// one's slot, so tasks are never lost and capacity stays the same.
+  /// failures, OOM-killed executors). The bulk's whole work is charged (the
+  /// slot was held for all of it) and the master requeues the whole bulk; a
+  /// replacement executor takes the dead one's slot, so tasks are never lost
+  /// and capacity stays the same.
   double worker_failure_rate = 0.0;
   std::uint64_t failure_seed = 0xfa11;
 };

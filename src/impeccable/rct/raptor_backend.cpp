@@ -148,11 +148,12 @@ void RaptorBackend::on_bulk_done(std::shared_ptr<Bulk> bulk,
       std::lock_guard lock(mu_);
       dies = failure_rng_.bernoulli(opts_.overlay.worker_failure_rate);
       if (dies) {
-        // The modeled worker died halfway through: charge the lost half and
-        // re-execute the whole bulk (results of a dead executor are lost).
+        // The worker died during the bulk: its slot was held for the whole
+        // bulk, so charge all of it, and re-execute the whole bulk (results
+        // of a dead executor are lost).
         ++workers_failed_;
         ++bulks_requeued_;
-        lane_busy_[static_cast<std::size_t>(bulk->lane)] += 0.5 * bulk->work;
+        lane_busy_[static_cast<std::size_t>(bulk->lane)] += bulk->work;
       }
     }
     if (dies) {

@@ -1,7 +1,9 @@
 // Blocked GEMM tests: exhaustive small-shape equivalence against the naive
 // reference (all transpose combinations, non-multiple-of-tile shapes,
-// alpha/beta variants), bitwise pool-size invariance, and a Dense layer
-// gradient-check regression over the GEMM-backed forward/backward.
+// alpha/beta variants), bitwise pool-size invariance, every
+// vectorized-body/scalar-tail split bitwise on the ascending-k chain (fused
+// steps under -march=native), and a Dense layer gradient-check regression
+// over the GEMM-backed forward/backward.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +25,41 @@ std::vector<float> random_matrix(std::size_t n, ic::Rng& rng) {
   std::vector<float> m(n);
   for (auto& v : m) v = static_cast<float>(rng.uniform(-1.0, 1.0));
   return m;
+}
+
+/// One step of the ascending-k chain every C element follows. Where the
+/// build can fuse a*b+c into one FMA (-march=native on an FMA host, where
+/// GCC contracts by default), the kernel's vector body and its scalar tail
+/// must both take the fused step.
+float chain_step(float c, float x, float b) {
+#ifdef __FMA__
+  return std::fma(x, b, c);
+#else
+  return c + x * b;
+#endif
+}
+
+/// The determinism contract of ml::gemm written out per element: beta
+/// first, then c += (alpha * a_ik) * b_kj for k = 0..K-1 in order.
+std::vector<float> chain_reference(ml::Trans ta, ml::Trans tb, int M, int N,
+                                   int K, float alpha, const float* A, int lda,
+                                   const float* B, int ldb, float beta,
+                                   std::vector<float> C) {
+  for (int i = 0; i < M; ++i)
+    for (int j = 0; j < N; ++j) {
+      float& c = C[static_cast<std::size_t>(i) * N + j];
+      c = beta == 0.0f ? 0.0f : (beta == 1.0f ? c : c * beta);
+      for (int k = 0; k < K; ++k) {
+        const float a = ta == ml::Trans::No
+                            ? A[static_cast<std::size_t>(i) * lda + k]
+                            : A[static_cast<std::size_t>(k) * lda + i];
+        const float b = tb == ml::Trans::No
+                            ? B[static_cast<std::size_t>(k) * ldb + j]
+                            : B[static_cast<std::size_t>(j) * ldb + k];
+        c = chain_step(c, alpha * a, b);
+      }
+    }
+  return C;
 }
 
 void expect_gemm_matches_naive(ml::Trans ta, ml::Trans tb, int M, int N, int K,
@@ -109,6 +146,56 @@ TEST(Gemm, ResultIsBitwiseInvariantAcrossPoolSizes) {
     ASSERT_EQ(std::memcmp(serial.data(), par.data(),
                           serial.size() * sizeof(float)), 0)
         << "pool size " << threads;
+  }
+}
+
+TEST(Gemm, VectorTailsFollowTheAscendingKChain) {
+  // Every N in 1..17 puts a different split between the vectorized j body
+  // and its scalar tail; the bits must not depend on it, on the row
+  // partition, on the pool size, or on the transpose packing.
+  ic::Rng rng(57);
+  ic::ThreadPool pool1(1), pool2(2), pool4(4);
+  ic::ThreadPool* const pools[] = {nullptr, &pool1, &pool2, &pool4};
+  ml::GemmTiling tiny;
+  tiny.kc = 5;
+  tiny.mc = 6;
+  for (const ml::GemmTiling& tiling : {ml::GemmTiling{}, tiny}) {
+    for (int N = 1; N <= 17; ++N) {
+      const int M = 37, K = 19;
+      const auto A = random_matrix(static_cast<std::size_t>(M) * K, rng);
+      const auto B = random_matrix(static_cast<std::size_t>(K) * N, rng);
+      const auto C0 = random_matrix(static_cast<std::size_t>(M) * N, rng);
+      for (auto ta : {ml::Trans::No, ml::Trans::Yes})
+        for (auto tb : {ml::Trans::No, ml::Trans::Yes})
+          for (float beta : {0.0f, 1.0f, 0.25f}) {
+            const int lda = ta == ml::Trans::No ? K : M;
+            const int ldb = tb == ml::Trans::No ? N : K;
+            const auto want = chain_reference(ta, tb, M, N, K, 0.5f, A.data(),
+                                              lda, B.data(), ldb, beta, C0);
+#ifndef __FMA__
+            // With nothing to contract, the naive loop is the same chain.
+            // (Under -march=native GCC fuses its steps differently, so it
+            // is no bitwise oracle there.)
+            auto naive = C0;
+            ml::gemm_naive(ta, tb, M, N, K, 0.5f, A.data(), lda, B.data(), ldb,
+                           beta, naive.data(), N);
+            ASSERT_EQ(std::memcmp(want.data(), naive.data(),
+                                  want.size() * sizeof(float)), 0)
+                << "naive N=" << N;
+#endif
+            for (ic::ThreadPool* pool : pools) {
+              auto got = C0;
+              ml::gemm(ta, tb, M, N, K, 0.5f, A.data(), lda, B.data(), ldb,
+                       beta, got.data(), N, pool, tiling);
+              ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                                    want.size() * sizeof(float)), 0)
+                  << "N=" << N << " ta=" << (ta == ml::Trans::Yes)
+                  << " tb=" << (tb == ml::Trans::Yes) << " beta=" << beta
+                  << " kc=" << tiling.kc
+                  << " workers=" << (pool ? pool->size() : 0);
+            }
+          }
+    }
   }
 }
 

@@ -1,13 +1,19 @@
 // ML substrate tests: tensor ops, layer gradients vs finite differences,
-// optimizers, losses, the ML1 surrogate, RES, LOF, t-SNE and the 3D-AAE.
+// bitwise gates for the pooled/vectorized inference kernels, optimizers,
+// losses, the ML1 surrogate, RES, LOF, t-SNE and the 3D-AAE.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 
 #include "impeccable/chem/depiction.hpp"
 #include "impeccable/chem/smiles.hpp"
+#include "impeccable/common/thread_pool.hpp"
 #include "impeccable/ml/aae.hpp"
+#include "impeccable/ml/gemm.hpp"
 #include "impeccable/ml/layers.hpp"
 #include "impeccable/ml/lof.hpp"
 #include "impeccable/ml/loss.hpp"
@@ -91,6 +97,73 @@ ml::Tensor random_tensor(std::vector<int> shape, std::uint64_t seed) {
   for (std::size_t i = 0; i < t.size(); ++i)
     t[i] = static_cast<float>(rng.uniform(-1, 1));
   return t;
+}
+
+/// Installs a compute pool of `workers` threads for the scope of a test.
+class ScopedComputePool {
+ public:
+  explicit ScopedComputePool(std::size_t workers)
+      : pool_(workers), prev_(ml::set_compute_pool(&pool_)) {}
+  ~ScopedComputePool() { ml::set_compute_pool(prev_); }
+
+ private:
+  impeccable::common::ThreadPool pool_;
+  impeccable::common::ThreadPool* prev_;
+};
+
+/// Random values salted with every edge case of the element-wise kernels:
+/// NaN, +-0, +-inf, values below the -1e30 max-pool seed, and runs of ties.
+ml::Tensor hostile_tensor(std::vector<int> shape, std::uint64_t seed) {
+  ml::Tensor t = random_tensor(std::move(shape), seed);
+  const float special[] = {std::numeric_limits<float>::quiet_NaN(),
+                           0.0f,
+                           -0.0f,
+                           -std::numeric_limits<float>::infinity(),
+                           std::numeric_limits<float>::infinity(),
+                           -3e38f,
+                           -2e30f,
+                           0.5f,
+                           0.5f,
+                           0.5f};
+  Rng rng(seed ^ 0x5eed);
+  for (std::size_t i = 0; i < t.size(); ++i)
+    if (rng.uniform(0, 1) < 0.3) t[i] = special[rng.index(std::size(special))];
+  // One image whose pooling windows hold nothing above -1e30 (argmax 0).
+  for (std::size_t i = 0; i < t.size() / static_cast<std::size_t>(t.dim(0)); ++i)
+    t[i] = (i % 2) ? -std::numeric_limits<float>::infinity() : -5e30f;
+  return t;
+}
+
+bool bitwise_equal(const ml::Tensor& a, const ml::Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// The scalar max-pool the layer must reproduce: (0,0), (0,1), (1,0), (1,1)
+/// taps from a -1e30 seed with a strict `>`; argmax is the flat input index.
+ml::Tensor reference_maxpool(const ml::Tensor& x, std::vector<int>& argmax) {
+  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  ml::Tensor y({n, c, h / 2, w / 2});
+  argmax.assign(y.size(), 0);
+  std::size_t out = 0;
+  for (int b = 0; b < n; ++b)
+    for (int ch = 0; ch < c; ++ch)
+      for (int i = 0; i < h / 2; ++i)
+        for (int j = 0; j < w / 2; ++j, ++out) {
+          float best = -1e30f;
+          int best_flat = 0;
+          for (int di = 0; di < 2; ++di)
+            for (int dj = 0; dj < 2; ++dj) {
+              const float v = x.at(b, ch, 2 * i + di, 2 * j + dj);
+              if (v > best) {
+                best = v;
+                best_flat = ((b * c + ch) * h + 2 * i + di) * w + 2 * j + dj;
+              }
+            }
+          y[out] = best;
+          argmax[out] = best_flat;
+        }
+  return y;
 }
 
 }  // namespace
@@ -179,6 +252,60 @@ TEST(Layers, MaxPoolSelectsMaxAndRoutesGradient) {
   const auto gx = pool.backward(g);
   EXPECT_EQ(gx.at(0, 0, 0, 1), 7.0f);
   EXPECT_EQ(gx.at(0, 0, 0, 0), 0.0f);
+}
+
+TEST(Layers, ReluInferMatchesForwardBitwiseAcrossPools) {
+  // 9 images of 8x32x33 floats: several pool chunks per call.
+  const ml::Tensor x = hostile_tensor({9, 8, 32, 33}, 21);
+  ml::Tensor want(x.shape()), want_grad(x.shape());
+  const ml::Tensor g = random_tensor(x.shape(), 22);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    want[i] = x[i] > 0.0f ? x[i] : 0.0f;  // NaN and -0 map to +0
+    want_grad[i] = x[i] > 0.0f ? g[i] : 0.0f * g[i];
+  }
+  for (std::size_t workers : {1, 2, 4}) {
+    ScopedComputePool pool(workers);
+    ml::ReLU relu;
+    EXPECT_TRUE(bitwise_equal(relu.infer(x), want)) << workers << " workers";
+    EXPECT_TRUE(bitwise_equal(relu.forward(x), want)) << workers << " workers";
+    EXPECT_TRUE(bitwise_equal(relu.backward(g), want_grad))
+        << workers << " workers";
+  }
+}
+
+TEST(Layers, MaxPoolInferMatchesForwardBitwiseAcrossPools) {
+  // Odd width: the last input column is dropped, as before.
+  const ml::Tensor x = hostile_tensor({9, 8, 32, 33}, 23);
+  std::vector<int> argmax;
+  const ml::Tensor want = reference_maxpool(x, argmax);
+  const ml::Tensor g = random_tensor(want.shape(), 24);
+  ml::Tensor want_grad(x.shape());
+  for (std::size_t i = 0; i < g.size(); ++i)
+    want_grad[static_cast<std::size_t>(argmax[i])] += g[i];
+  for (std::size_t workers : {1, 2, 4}) {
+    ScopedComputePool pool(workers);
+    ml::MaxPool2 mp;
+    EXPECT_TRUE(bitwise_equal(mp.infer(x), want)) << workers << " workers";
+    EXPECT_TRUE(bitwise_equal(mp.forward(x), want)) << workers << " workers";
+    // backward() routes through the cached argmax: same routing, same bits.
+    EXPECT_TRUE(bitwise_equal(mp.backward(g), want_grad))
+        << workers << " workers";
+  }
+}
+
+TEST(Layers, ResidualBlockInferMatchesForwardBitwiseAcrossPools) {
+  const ml::Tensor x = hostile_tensor({6, 16, 8, 8}, 25);
+  ml::Tensor reference;
+  for (std::size_t workers : {1, 2, 4}) {
+    ScopedComputePool pool(workers);
+    Rng rng(5);
+    ml::ResidualBlock block(16, rng);
+    const ml::Tensor inferred = block.infer(x);
+    EXPECT_TRUE(bitwise_equal(block.forward(x), inferred))
+        << workers << " workers";
+    if (reference.size() == 0) reference = inferred;
+    EXPECT_TRUE(bitwise_equal(inferred, reference)) << workers << " workers";
+  }
 }
 
 TEST(Layers, ResidualBlockGradients) {
@@ -381,6 +508,39 @@ TEST(Surrogate, PredictBatchInvariantToChunkSize) {
   for (std::size_t r = 1; r < results.size(); ++r)
     for (std::size_t i = 0; i < images.size(); ++i)
       EXPECT_EQ(results[r][i], results[0][i]) << "result set " << r << " image " << i;
+}
+
+TEST(Surrogate, PredictTrainPredictBitwiseAcrossPools) {
+  // Inference, training and inference again: every score is the same bits
+  // with 1 and 4 compute workers.
+  const char* smiles[] = {"c1ccccc1", "CCCCCC",    "Oc1ccccc1", "CCNCC",
+                          "Cc1ccccc1", "CCCCO",    "c1ccncc1",  "CC(C)CC",
+                          "CCOCC",    "Nc1ccccc1", "c1ccsc1",   "OCCCCO"};
+  std::vector<chem::Image> images;
+  std::vector<float> labels;
+  for (const char* s : smiles) {
+    images.push_back(chem::depict(chem::parse_smiles(s)));
+    labels.push_back(s[0] == 'c' || s[1] == 'c' ? 1.0f : 0.0f);
+  }
+  std::vector<std::vector<float>> runs;
+  for (std::size_t workers : {1, 4}) {
+    ScopedComputePool pool(workers);
+    ml::SurrogateOptions opts;
+    opts.seed = 41;
+    opts.epochs = 2;
+    opts.batch_size = 5;
+    opts.predict_chunk = 7;
+    ml::SurrogateModel model(opts);
+    std::vector<float> scores = model.predict_batch(images);
+    model.train(images, labels);
+    const std::vector<float> after = model.predict_batch(images);
+    scores.insert(scores.end(), after.begin(), after.end());
+    runs.push_back(std::move(scores));
+  }
+  ASSERT_EQ(runs[0].size(), runs[1].size());
+  EXPECT_EQ(std::memcmp(runs[0].data(), runs[1].data(),
+                        runs[0].size() * sizeof(float)),
+            0);
 }
 
 // ---------------------------------------------------------------- RES

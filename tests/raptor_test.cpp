@@ -324,6 +324,31 @@ TEST(RaptorBackend, WorkerFailuresRequeueBulks) {
   EXPECT_GT(stats.workers_failed, 0);
 }
 
+TEST(RaptorBackend, WorkerDeathChargesHeldSlotTime) {
+  // A death is decided only after the inner task has held its slot for the
+  // whole bulk, so every execution, lost or not, charges its full work.
+  rct::SimBackend sim(hpc::test_machine(2));
+  rct::RaptorBackendOptions ropts;
+  ropts.overlay.workers = 4;
+  ropts.overlay.bulk_size = 2;
+  ropts.overlay.worker_failure_rate = 0.5;
+  ropts.overlay.failure_seed = 7;
+  rct::RaptorBackend raptor(sim, ropts);
+
+  for (int i = 0; i < 16; ++i)
+    raptor.submit(dock_task("dock-" + std::to_string(i), 0.4),
+                  [](const rct::TaskResult&) {});
+  raptor.drain();
+
+  const auto stats = raptor.stats();
+  ASSERT_GT(stats.bulks_requeued, 0u);
+  double busy = 0.0;
+  for (double b : stats.worker_busy) busy += b;
+  // 8 bulks of two 0.4 s docks each, plus one re-execution per requeue.
+  const double executions = 8.0 + static_cast<double>(stats.bulks_requeued);
+  EXPECT_NEAR(busy, executions * 0.8, 1e-9);
+}
+
 TEST(RaptorStats, EmptyWorkloadYieldsCleanZeros) {
   // Regression: derived metrics divided by makespan / worker mean and went
   // NaN on empty workloads.

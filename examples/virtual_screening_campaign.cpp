@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nflop tally:\n");
-  for (const auto& [component, flops] : report.flops->snapshot())
+  for (const auto& [component, flops] : report.flops)
     std::printf("  %-6s %12.3e flops\n", component.c_str(),
                 static_cast<double>(flops));
   return 0;

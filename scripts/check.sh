@@ -23,12 +23,15 @@
 #      SurrogateModel::predict_batch contract; library covers
 #      LigandSource featurization fanned out over a ThreadPool; multi
 #      covers shared-backend multi-target campaign runs);
-#   6. native preset (-march=native Release): the `dock`-labelled suite —
-#      the batched SIMD scorer's bitwise-equivalence gate must hold under
-#      the widest vectorization the host supports, not just the portable
-#      default codegen — and the `ml`-labelled suite (GEMM + layers +
-#      surrogate), where FMA contraction is the place a vectorized loop and
-#      its scalar tail could diverge.
+#   6. native preset (-march=native Release): dock + ml + graph. The
+#      `dock`-labelled suite — the batched SIMD scorer's bitwise-equivalence
+#      gate must hold under the widest vectorization the host supports, not
+#      just the portable default codegen; the `ml`-labelled suite (GEMM +
+#      layers + surrogate), where FMA contraction is the place a vectorized
+#      loop and its scalar tail could diverge; and the `graph`-labelled
+#      suite, whose recorded science digest
+#      (CampaignGraph.FingerprintMatchesRecordedDigest) must match the
+#      default build's, so -O3 and -march=native never change science.
 #
 # Usage: scripts/check.sh [-j N] [-q]
 #   -q  quick: default-preset build, tests, and lint only (skip sanitizers
@@ -122,5 +125,8 @@ ctest --preset native-dock -j "$JOBS"
 
 echo "== native: ml-labeled tests (vectorized GEMM/layer bitwise gates) =="
 ctest --preset native-ml -j "$JOBS"
+
+echo "== native: graph-labeled tests (science digest matches the default build) =="
+ctest --preset native-graph -j "$JOBS"
 
 echo "== all checks passed =="

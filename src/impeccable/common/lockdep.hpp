@@ -88,7 +88,6 @@ struct PoolGlobal    { static constexpr int value = 61; static constexpr const c
 struct PoolWorker    { static constexpr int value = 62; static constexpr const char* name = "pool.worker"; };     ///< pool per-worker deques
 struct PoolPfor      { static constexpr int value = 65; static constexpr const char* name = "pool.pfor"; };       ///< pool parallel_for state
 struct PoolIdle      { static constexpr int value = 66; static constexpr const char* name = "pool.idle"; };       ///< pool wait_idle
-struct HpcFlops      { static constexpr int value = 70; static constexpr const char* name = "hpc.flops"; };       ///< hpc FlopCounter
 struct ObsRegistry   { static constexpr int value = 80; static constexpr const char* name = "obs.registry"; };    ///< obs Recorder::registry_mu_
 struct ObsThread     { static constexpr int value = 81; static constexpr const char* name = "obs.thread"; };      ///< obs Recorder::ThreadState::mu
 // clang-format on

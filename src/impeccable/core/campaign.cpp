@@ -128,8 +128,7 @@ std::string CampaignReport::science_fingerprint() const {
   w.end_array();
   w.key("flops");
   w.begin_object();
-  for (const auto& [component, count] : flops->snapshot())
-    w.kv(component, count);
+  for (const auto& [component, count] : flops) w.kv(component, count);
   w.end_object();
   w.end_object();
   return os.str();

@@ -22,7 +22,6 @@
 #include "impeccable/chem/library.hpp"
 #include "impeccable/dock/engine.hpp"
 #include "impeccable/fe/esmacs.hpp"
-#include "impeccable/hpc/flops.hpp"
 #include "impeccable/md/system.hpp"
 #include "impeccable/ml/aae.hpp"
 #include "impeccable/ml/surrogate.hpp"
@@ -225,8 +224,10 @@ struct IterationMetrics {
 struct CampaignReport {
   std::vector<IterationMetrics> iterations;
   std::map<std::string, CompoundRecord> compounds;  ///< by compound id
-  /// Shared pointer: FlopCounter holds a mutex and is not movable.
-  std::shared_ptr<hpc::FlopCounter> flops = std::make_shared<hpc::FlopCounter>();
+  /// Flop tally per component ("ML1", "S1", "S3-CG", "S2", "S3-FG"; Sec. 7.2,
+  /// Table 3). Written only by Stage::merge(), which the graph engine
+  /// serializes, so it needs no lock.
+  std::map<std::string, std::uint64_t> flops;
   /// Per-task execution records of the whole campaign (submit/start/end),
   /// exportable via SessionProfile::write_csv.
   rct::SessionProfile profile;

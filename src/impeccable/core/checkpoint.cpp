@@ -1,6 +1,12 @@
 #include "impeccable/core/checkpoint.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <charconv>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -36,11 +42,43 @@ double parse_exact(const std::string& field) {
   return v;
 }
 
+/// Replace `path` with `data` crash-safely: write `path + ".tmp"`, fsync it,
+/// rename it over `path`, then fsync the directory so the rename is durable.
+/// On any failure the temp file is removed, `path` keeps its previous
+/// content, and a std::runtime_error names `who` and the errno text.
+void write_atomically(const std::string& path, const std::string& data,
+                      const char* who) {
+  const std::string tmp = path + ".tmp";
+  const auto fail = [&](const char* what, int fd) {
+    const int err = errno;
+    if (fd >= 0) ::close(fd);
+    ::unlink(tmp.c_str());
+    throw std::runtime_error(std::string(who) + ": " + what + " " + path +
+                             ": " + std::strerror(err));
+  };
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0644);
+  if (fd < 0) fail("cannot open", -1);
+  for (std::size_t done = 0; done < data.size();) {
+    const ssize_t n = ::write(fd, data.data() + done, data.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) fail("cannot write", fd);
+    done += static_cast<std::size_t>(n);
+  }
+  if (::fsync(fd) != 0) fail("cannot sync", fd);
+  if (::close(fd) != 0) fail("cannot close", -1);
+  if (::rename(tmp.c_str(), path.c_str()) != 0) fail("cannot rename onto", -1);
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  const int dfd = ::open(dir.empty() ? "." : dir.c_str(),
+                         O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dfd < 0 || ::fsync(dfd) != 0) fail("cannot sync the directory of", dfd);
+  ::close(dfd);
+}
+
 }  // namespace
 
 void write_checkpoint(const CampaignReport& report, const std::string& path) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) throw std::runtime_error("write_checkpoint: cannot open " + path);
+  std::ostringstream f;
   f << kHeader << "\n";
   for (const auto& [id, rec] : report.compounds) {
     f << rec.id << ',' << rec.smiles << ',' << Exact{rec.surrogate_score}
@@ -53,6 +91,7 @@ void write_checkpoint(const CampaignReport& report, const std::string& path) {
     }
     f << "\n";
   }
+  write_atomically(path, f.str(), "write_checkpoint");
 }
 
 std::map<std::string, CompoundRecord> read_checkpoint(const std::string& path) {
@@ -102,14 +141,14 @@ std::map<std::string, CompoundRecord> read_checkpoint(const std::string& path) {
 void write_scores_csv(const std::vector<std::pair<std::string, double>>& scores,
                       const std::map<std::string, std::string>& id_to_smiles,
                       const std::string& path) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) throw std::runtime_error("write_scores_csv: cannot open " + path);
+  std::ostringstream f;
   f << "id,smiles,score\n";
   for (const auto& [id, score] : scores) {
     const auto it = id_to_smiles.find(id);
     f << id << ',' << (it == id_to_smiles.end() ? "" : it->second) << ','
       << Exact{score} << "\n";
   }
+  write_atomically(path, f.str(), "write_scores_csv");
 }
 
 }  // namespace impeccable::core

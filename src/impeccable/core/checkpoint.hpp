@@ -19,7 +19,9 @@ namespace impeccable::core {
 /// Write every compound record to `path` as CSV
 /// (id,smiles,surrogate,docked,dock_score,cg_done,cg_energy,cg_error,fg...).
 /// Doubles are written as shortest round-trip text, so read_checkpoint
-/// returns them bit for bit.
+/// returns them bit for bit. The file is replaced atomically (temp file,
+/// fsync, rename): a failed write throws std::runtime_error and leaves the
+/// previous checkpoint intact.
 void write_checkpoint(const CampaignReport& report, const std::string& path);
 
 /// Read a checkpoint back into compound records.
@@ -27,6 +29,7 @@ void write_checkpoint(const CampaignReport& report, const std::string& path);
 std::map<std::string, CompoundRecord> read_checkpoint(const std::string& path);
 
 /// Write just (id, smiles, score) rows — the ML1 -> S1 interchange format.
+/// Replaced atomically like write_checkpoint.
 void write_scores_csv(const std::vector<std::pair<std::string, double>>& scores,
                       const std::map<std::string, std::string>& id_to_smiles,
                       const std::string& path);

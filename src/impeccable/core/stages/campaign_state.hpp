@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -100,6 +101,10 @@ struct IterationScratch {
   // iterations, before the surrogate has trained).
   std::shared_ptr<ml::ScoreSpill> scores;
   std::vector<double> dock_pred;  ///< parallel to dock_indices
+  /// Flops of the ML1 train+infer and S2 tasks, set by the payloads and
+  /// folded into CampaignReport::flops by their merges. Unset when the task
+  /// did no work (bootstrap ML1, no S2 point clouds), so no key is added.
+  std::optional<std::uint64_t> ml1_flops, s2_flops;
 
   // Scale-replay partials: one slot per virtual ML1 shard task.
   std::vector<std::vector<ml::TopCandidate>> replay_parts;

@@ -49,14 +49,10 @@ void CgEsmacsStage::merge(CampaignState& cs) {
     rec.cg_energy = s_->cg_results[j].binding_free_energy;
     rec.cg_error = s_->cg_results[j].std_error;
     rec.cg_done = true;
-    cs.report->flops->add(
-        "S3-CG",
+    const int beads = s_->cg_systems[j].topology.bead_count();
+    cs.report->flops["S3-CG"] +=
         s_->cg_results[j].md_steps *
-            md::flops_per_md_step(
-                s_->cg_systems[j].topology.bead_count(),
-                static_cast<std::uint64_t>(
-                    s_->cg_systems[j].topology.bead_count()) *
-                    24));
+        md::flops_per_md_step(beads, static_cast<std::uint64_t>(beads) * 24);
   }
 }
 

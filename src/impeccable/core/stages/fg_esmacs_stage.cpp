@@ -51,14 +51,10 @@ void FgEsmacsStage::merge(CampaignState& cs) {
     const auto& id = s_->dock_results[s_->cg_pick[j]].ligand_id;
     auto& rec = cs.report->compounds.at(id);
     rec.fg_energies.push_back(s_->fg_results[f].binding_free_energy);
-    cs.report->flops->add(
-        "S3-FG",
+    const int beads = s_->fg_jobs[f].system.topology.bead_count();
+    cs.report->flops["S3-FG"] +=
         s_->fg_results[f].md_steps *
-            md::flops_per_md_step(
-                s_->fg_jobs[f].system.topology.bead_count(),
-                static_cast<std::uint64_t>(
-                    s_->fg_jobs[f].system.topology.bead_count()) *
-                    24));
+        md::flops_per_md_step(beads, static_cast<std::uint64_t>(beads) * 24);
   }
 
   // ---------------------------------------------------------------- metrics

@@ -78,11 +78,10 @@ std::vector<rct::TaskDescription> Ml1Stage::build(CampaignState& cs) {
     ml::score_ligands(*st->source, *surrogate_, 0, n,
                       st->config->featurize_window, spill.get());
     s_->scores = std::move(spill);
-    st->report->flops->add(
-        "ML1", surrogate_->flops_per_image() *
-                   (n + 3 * st->train_images.size() *
-                            static_cast<std::size_t>(
-                                st->config->surrogate.epochs)));
+    s_->ml1_flops = surrogate_->flops_per_image() *
+                    (n + 3 * st->train_images.size() *
+                             static_cast<std::size_t>(
+                                 st->config->surrogate.epochs));
   };
   return {std::move(t)};
 }
@@ -97,6 +96,7 @@ void Ml1Stage::merge(CampaignState& cs) {
     }
     return;
   }
+  if (s_->ml1_flops) cs.report->flops["ML1"] += *s_->ml1_flops;
   const CampaignConfig& cfg = *cs.config;
   const std::size_t n = cs.source->size();
   // Per-(iteration, stage) stream: selection randomness is independent of

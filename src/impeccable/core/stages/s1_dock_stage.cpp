@@ -80,11 +80,9 @@ void S1DockStage::merge(CampaignState& cs) {
     cs.docked_indices.insert(idx);
     cs.train_images.push_back(cs.source->image(idx));
     cs.train_scores.push_back(dres.best_score);
-    cs.report->flops->add(
-        "S1", dres.evaluations *
-                  dock::flops_per_evaluation(
-                      s_->molecules[i].atom_count(),
-                      static_cast<int>(s_->molecules[i].atom_count()) * 4));
+    const int atoms = s_->molecules[i].atom_count();
+    cs.report->flops["S1"] +=
+        dres.evaluations * dock::flops_per_evaluation(atoms, atoms * 4);
   }
 
   // Diversity pick over the docked set (Sec. 7.1.2).

@@ -65,9 +65,8 @@ std::vector<rct::TaskDescription> S2AaeStage::build(CampaignState& cs) {
     const auto latent = aae.embed_batch(clouds);
     const auto lof = ml::local_outlier_factor(
         latent, std::min<int>(10, static_cast<int>(latent.size()) - 1));
-    st->report->flops->add(
-        "S2", aae.flops_per_sample() * clouds.size() *
-                  static_cast<std::uint64_t>(st->config->aae.epochs));
+    scratch->s2_flops = aae.flops_per_sample() * clouds.size() *
+                        static_cast<std::uint64_t>(st->config->aae.epochs);
 
     // Per binder: the most outlying conformations seed S3-FG.
     for (std::size_t j : order) {
@@ -95,9 +94,8 @@ std::vector<rct::TaskDescription> S2AaeStage::build(CampaignState& cs) {
   return {std::move(t)};
 }
 
-void S2AaeStage::merge(CampaignState&) {
-  // The single S2 task writes only iteration scratch (fg_jobs/fg_results);
-  // nothing to fold into shared state.
+void S2AaeStage::merge(CampaignState& cs) {
+  if (s_->s2_flops) cs.report->flops["S2"] += *s_->s2_flops;
 }
 
 }  // namespace impeccable::core::stages

@@ -288,20 +288,4 @@ std::vector<double> GraphRunReport::ready_waits() const {
   return waits;
 }
 
-std::vector<std::pair<double, std::size_t>>
-GraphRunReport::ready_wait_histogram() const {
-  // Eight log-spaced buckets from 10ms to 100ks; the first also absorbs
-  // zero/negative waits, the last absorbs everything beyond.
-  std::vector<std::pair<double, std::size_t>> buckets;
-  double edge = 1e-2;
-  for (int i = 0; i < 8; ++i, edge *= 10.0) buckets.emplace_back(edge, 0);
-  for (const NodeReport& n : nodes) {
-    const double w = n.ready_wait();
-    std::size_t b = 0;
-    while (b + 1 < buckets.size() && w >= buckets[b].first) ++b;
-    ++buckets[b].second;
-  }
-  return buckets;
-}
-
 }  // namespace impeccable::rct

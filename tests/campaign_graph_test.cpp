@@ -8,11 +8,13 @@
 #include <cstdio>
 #include <string>
 
+#include "impeccable/chem/store.hpp"
 #include "impeccable/core/campaign.hpp"
 #include "impeccable/core/checkpoint.hpp"
 #include "impeccable/hpc/machine.hpp"
 #include "impeccable/rct/backend.hpp"
 
+namespace chem = impeccable::chem;
 namespace core = impeccable::core;
 namespace fe = impeccable::fe;
 namespace hpc = impeccable::hpc;
@@ -68,9 +70,18 @@ TEST(CampaignGraph, ProducesSameScienceAsAlways) {
     EXPECT_GT(it.cg_runs, 0u);
     EXPECT_GT(it.fg_runs, 0u);
   }
-  EXPECT_GT(report.flops->total("ML1"), 0u);
-  EXPECT_GT(report.flops->total("S3-FG"), 0u);
+  EXPECT_GT(report.flops.at("ML1"), 0u);
+  EXPECT_GT(report.flops.at("S3-FG"), 0u);
   EXPECT_FALSE(report.science_fingerprint().empty());
+}
+
+TEST(CampaignGraph, FingerprintMatchesRecordedDigest) {
+  // FNV-1a-64 of graph_config()'s science fingerprint, recorded from the
+  // default (RelWithDebInfo) build. The other fingerprint tests compare two
+  // runs of one binary; this one pins the bytes across builds, so a build
+  // flag (-O3, -march=native) or a refactor that changes science fails here.
+  const std::string fp = run_fingerprint(graph_config());
+  EXPECT_EQ(chem::fnv1a64(fp.data(), fp.size()), 0x25994c9be65b63d4ULL);
 }
 
 TEST(CampaignGraph, FingerprintInvariantToThreadCount) {

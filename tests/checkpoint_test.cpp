@@ -1,11 +1,15 @@
 // Tests for campaign checkpointing, resume, and the CSV interchange.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
+#include <csignal>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 
@@ -41,6 +45,11 @@ core::CampaignConfig mini_config(int iterations) {
 
 std::filesystem::path tmp(const char* name) {
   return std::filesystem::temp_directory_path() / name;
+}
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
 }
 
 }  // namespace
@@ -186,5 +195,55 @@ TEST(Checkpoint, ScoresCsvFormat) {
   EXPECT_EQ(line, "A,CCO,-1.5");
   std::getline(f, line);
   EXPECT_EQ(line, "B,,-2.5");
+  std::filesystem::remove(path);
+}
+
+TEST(Checkpoint, FailedWriteKeepsThePreviousCheckpoint) {
+  // A write that fails part-way (EFBIG here, from a lowered RLIMIT_FSIZE; a
+  // full disk gives ENOSPC) must throw and leave the last good checkpoint in
+  // place, not a truncated file whose last row may still parse.
+  const auto path = tmp("imp_ckpt_efbig.csv");
+  core::CampaignReport good;
+  core::CompoundRecord rec;
+  rec.id = "X-1";
+  rec.smiles = "CCO";
+  rec.docked = true;
+  rec.dock_score = -94.23713518273;
+  rec.fg_energies = {-35.0, 0.1 + 0.2};
+  good.compounds = {{rec.id, rec}};
+  core::write_checkpoint(good, path.string());
+  const std::string before = slurp(path);
+  ASSERT_FALSE(before.empty());
+
+  core::CampaignReport big;
+  for (int i = 0; i < 4000; ++i) {
+    core::CompoundRecord r = rec;
+    r.id = "Y-" + std::to_string(i);
+    big.compounds.emplace(r.id, r);
+  }
+
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = std::min<rlim_t>(16384, saved.rlim_max);
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &low), 0);
+  bool threw = false;
+  try {
+    core::write_checkpoint(big, path.string());
+  } catch (const std::runtime_error&) {
+    threw = true;
+  }
+  setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_TRUE(threw);
+  EXPECT_TRUE(slurp(path) == before);
+  const auto back = core::read_checkpoint(path.string());
+  ASSERT_EQ(back.size(), 1u);
+  const auto& r = back.at("X-1");
+  EXPECT_EQ(r.dock_score, rec.dock_score);
+  EXPECT_EQ(r.fg_energies, rec.fg_energies);
+  EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
   std::filesystem::remove(path);
 }

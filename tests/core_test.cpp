@@ -1,5 +1,6 @@
 // Integration tests for the IMPECCABLE campaign: the full five-stage
-// iterative loop on a small target and library.
+// iterative loop on a small target and library, including a multi-structure
+// target with conformer ensembles.
 
 #include <gtest/gtest.h>
 
@@ -112,11 +113,11 @@ TEST(Campaign, CgRankingIsSorted) {
 
 TEST(Campaign, FlopsAccumulatePerComponent) {
   const auto& report = tiny_report();
-  EXPECT_GT(report.flops->total("S1"), 0u);
-  EXPECT_GT(report.flops->total("S3-CG"), 0u);
-  EXPECT_GT(report.flops->total("S3-FG"), 0u);
-  EXPECT_GT(report.flops->total("S2"), 0u);
-  EXPECT_GT(report.flops->total("ML1"), 0u);  // iteration 1 trained
+  EXPECT_GT(report.flops.at("S1"), 0u);
+  EXPECT_GT(report.flops.at("S3-CG"), 0u);
+  EXPECT_GT(report.flops.at("S3-FG"), 0u);
+  EXPECT_GT(report.flops.at("S2"), 0u);
+  EXPECT_GT(report.flops.at("ML1"), 0u);  // iteration 1 trained
 }
 
 TEST(Campaign, FgEnergiesAttachToTopBinders) {
@@ -152,4 +153,33 @@ TEST(Campaign, AutoBudgetSizesDockingFromRes) {
   // [4, library/2] and by construction different from the bootstrap.
   EXPECT_GE(report.iterations[1].docked, 1u);
   EXPECT_LE(report.iterations[1].docked, cfg.library_size / 2);
+}
+
+// ---------------------------------------------------- multi-structure campaign
+
+TEST(CampaignMultiStructure, RunsWithCrystalEnsembleAndConformers) {
+  core::CampaignConfig cfg;
+  cfg.library_size = 30;
+  cfg.iterations = 1;
+  cfg.bootstrap_docks = 8;
+  cfg.cg_compounds = 2;
+  cfg.top_binders = 1;
+  cfg.outliers_per_binder = 1;
+  cfg.conformers_per_ligand = 2;  // exercised when grids.size() == 1
+  cfg.dock.runs = 1;
+  cfg.dock.lga.population = 12;
+  cfg.dock.lga.generations = 4;
+  cfg.esmacs_cg = impeccable::fe::cg_config(0.2);
+  cfg.esmacs_cg.replicas = 2;
+  cfg.esmacs_fg = impeccable::fe::fg_config(0.05);
+  cfg.esmacs_fg.replicas = 2;
+  cfg.aae.epochs = 2;
+
+  core::Target target = core::Target::make("multi", 9, 30, 15,
+                                           /*crystal_structures=*/2);
+  core::Campaign campaign(std::move(target), cfg);
+  const auto report = campaign.run();
+  ASSERT_EQ(report.iterations.size(), 1u);
+  EXPECT_EQ(report.iterations[0].docked, 8u);
+  EXPECT_GT(report.iterations[0].fg_runs, 0u);
 }

@@ -1,14 +1,18 @@
 // Docking substrate tests: grid interpolation and gradients (vs finite
-// differences), ligand kinematics, pose-space gradients, local searches and
-// the full LGA engine.
+// differences), ligand kinematics, pose-space gradients, local searches, the
+// full LGA engine, conformer-ensemble and multi-structure docking, and the
+// docking-box wall.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "impeccable/chem/smiles.hpp"
 #include "impeccable/common/kabsch.hpp"
 #include "impeccable/common/rng.hpp"
+#include "impeccable/core/campaign.hpp"
 #include "impeccable/dock/engine.hpp"
 #include "impeccable/dock/receptor.hpp"
 #include "impeccable/dock/score.hpp"
@@ -16,6 +20,7 @@
 
 namespace dock = impeccable::dock;
 namespace chem = impeccable::chem;
+namespace core = impeccable::core;
 using impeccable::common::Rng;
 using impeccable::common::Vec3;
 
@@ -402,4 +407,119 @@ TEST(Engine, DifferentLigandsDifferentScores) {
 TEST(Engine, FlopModelScalesWithSize) {
   EXPECT_GT(dock::flops_per_evaluation(40, 300), dock::flops_per_evaluation(10, 20));
   EXPECT_GT(dock::flops_per_evaluation(10, 20), 0u);
+}
+
+// --------------------------------------------------------- conformer ensembles
+
+namespace {
+
+std::shared_ptr<const dock::AffinityGrid> small_grid(std::uint64_t seed) {
+  dock::GridOptions gopts;
+  gopts.nodes = 21;
+  return dock::compute_grid(dock::Receptor::synthesize("G", seed), gopts);
+}
+
+dock::DockOptions fast_dock() {
+  dock::DockOptions d;
+  d.runs = 1;
+  d.lga.population = 16;
+  d.lga.generations = 6;
+  return d;
+}
+
+}  // namespace
+
+TEST(ConformerEnsemble, BestOfConformersIsAtLeastSingle) {
+  const auto grid = small_grid(3);
+  const auto mol = chem::parse_smiles("CCOc1ccccc1CC(=O)N");
+  std::vector<double> per_conformer;
+  const auto multi = dock::dock_conformer_ensemble(*grid, mol, "L", 4,
+                                                   fast_dock(), &per_conformer);
+  ASSERT_EQ(per_conformer.size(), 4u);
+  const auto single = dock::dock(*grid, mol, "L", fast_dock());
+  EXPECT_LE(multi.best_score, single.best_score + 1e-9);
+  // The returned best equals the per-conformer minimum.
+  EXPECT_DOUBLE_EQ(multi.best_score,
+                   *std::min_element(per_conformer.begin(), per_conformer.end()));
+}
+
+TEST(ConformerEnsemble, EvaluationsAccumulate) {
+  const auto grid = small_grid(4);
+  const auto mol = chem::parse_smiles("CCCCO");
+  const auto one = dock::dock_conformer_ensemble(*grid, mol, "L", 1, fast_dock());
+  const auto three = dock::dock_conformer_ensemble(*grid, mol, "L", 3, fast_dock());
+  EXPECT_GT(three.evaluations, 2 * one.evaluations);
+}
+
+TEST(MultiStructure, PicksBestAcrossGrids) {
+  std::vector<std::shared_ptr<const dock::AffinityGrid>> grids{
+      small_grid(10), small_grid(11), small_grid(12)};
+  const auto mol = chem::parse_smiles("CC(C)c1ccc(O)cc1");
+  int best_structure = -1;
+  const auto res = dock::dock_multi_structure(grids, mol, "L", fast_dock(),
+                                              &best_structure);
+  ASSERT_GE(best_structure, 0);
+  ASSERT_LT(best_structure, 3);
+  // Re-dock against the winning grid alone reproduces the same score.
+  dock::DockOptions sopts = fast_dock();
+  sopts.seed = fast_dock().seed ^ (0x9e37 * (static_cast<std::size_t>(best_structure) + 1));
+  const auto direct = dock::dock(*grids[static_cast<std::size_t>(best_structure)],
+                                 mol, "L", sopts);
+  EXPECT_DOUBLE_EQ(res.best_score, direct.best_score);
+}
+
+TEST(MultiStructure, RejectsEmptyGridList) {
+  const auto mol = chem::parse_smiles("CCO");
+  EXPECT_THROW(dock::dock_multi_structure({}, mol, "L"), std::invalid_argument);
+}
+
+TEST(MultiStructure, TargetEnsembleBuildsVariants) {
+  const auto t = core::Target::make("T", 5, 30, 15, /*crystal_structures=*/3);
+  EXPECT_EQ(t.grids.size(), 3u);
+  EXPECT_EQ(t.grid.get(), t.grids.front().get());
+  // The variants differ (different pocket maps).
+  const auto a = t.grids[0]->map(dock::ProbeType::Carbon).sample(t.grids[0]->pocket_center);
+  const auto b = t.grids[1]->map(dock::ProbeType::Carbon).sample(t.grids[1]->pocket_center);
+  EXPECT_NE(a.value, b.value);
+}
+
+// ---------------------------------------------------------------- docking box
+
+TEST(DockingBox, SearchPullsEscapedPosesBackInside) {
+  const auto receptor = dock::Receptor::synthesize("wall", 3);
+  dock::GridOptions gopts;
+  gopts.nodes = 21;
+  const auto grid = dock::compute_grid(receptor, gopts);
+  const auto mol = chem::parse_smiles("CCO");
+  const dock::Ligand lig(mol);
+  const dock::ScoringFunction score(*grid, lig);
+
+  // Start far outside the box: the quadratic wall dominates and ADADELTA
+  // must pull the pose back towards the box.
+  dock::Pose outside = lig.identity_pose(grid->pocket_center +
+                                         Vec3{30.0, 0.0, 0.0});
+  const double e_out = score.evaluate(outside);
+  EXPECT_GT(e_out, 1e4);  // deep in the wall
+
+  dock::AdadeltaOptions aopts;
+  aopts.max_iterations = 300;
+  const auto relaxed = dock::adadelta(score, outside, aopts);
+  EXPECT_LT(relaxed.energy, e_out * 0.1);
+  const double dist = impeccable::common::distance(relaxed.pose.translation,
+                                                   grid->pocket_center);
+  EXPECT_LT(dist, 30.0);  // moved inward
+}
+
+TEST(DockingBox, WallEnergyGrowsQuadratically) {
+  const auto receptor = dock::Receptor::synthesize("wall2", 4);
+  dock::GridOptions gopts;
+  gopts.nodes = 21;
+  const auto grid = dock::compute_grid(receptor, gopts);
+  const auto& field = grid->map(dock::ProbeType::Carbon);
+  const Vec3 center = grid->pocket_center;
+  const double half = 5.0;  // box half-width: (21-1) nodes x 0.5 A / 2
+  const double e1 = field.sample(center + Vec3{half + 2.0, 0, 0}).value;
+  const double e2 = field.sample(center + Vec3{half + 4.0, 0, 0}).value;
+  // Doubling the overshoot roughly quadruples the wall term.
+  EXPECT_GT(e2, 2.5 * e1);
 }

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -27,17 +26,10 @@ std::vector<float> random_matrix(std::size_t n, ic::Rng& rng) {
   return m;
 }
 
-/// One step of the ascending-k chain every C element follows. Where the
-/// build can fuse a*b+c into one FMA (-march=native on an FMA host, where
-/// GCC contracts by default), the kernel's vector body and its scalar tail
-/// must both take the fused step.
-float chain_step(float c, float x, float b) {
-#ifdef __FMA__
-  return std::fma(x, b, c);
-#else
-  return c + x * b;
-#endif
-}
+/// One step of the ascending-k chain every C element follows. The build
+/// compiles with -ffp-contract=off, so no build fuses a*b+c into one FMA and
+/// the kernel's vector body and scalar tail both take this unfused step.
+float chain_step(float c, float x, float b) { return c + x * b; }
 
 /// The determinism contract of ml::gemm written out per element: beta
 /// first, then c += (alpha * a_ik) * b_kj for k = 0..K-1 in order.
@@ -172,17 +164,13 @@ TEST(Gemm, VectorTailsFollowTheAscendingKChain) {
             const int ldb = tb == ml::Trans::No ? N : K;
             const auto want = chain_reference(ta, tb, M, N, K, 0.5f, A.data(),
                                               lda, B.data(), ldb, beta, C0);
-#ifndef __FMA__
-            // With nothing to contract, the naive loop is the same chain.
-            // (Under -march=native GCC fuses its steps differently, so it
-            // is no bitwise oracle there.)
+            // With nothing contracted, the naive loop is the same chain.
             auto naive = C0;
             ml::gemm_naive(ta, tb, M, N, K, 0.5f, A.data(), lda, B.data(), ldb,
                            beta, naive.data(), N);
             ASSERT_EQ(std::memcmp(want.data(), naive.data(),
                                   want.size() * sizeof(float)), 0)
                 << "naive N=" << N;
-#endif
             for (ic::ThreadPool* pool : pools) {
               auto got = C0;
               ml::gemm(ta, tb, M, N, K, 0.5f, A.data(), lda, B.data(), ldb,

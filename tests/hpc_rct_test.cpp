@@ -1,21 +1,28 @@
 // HPC substrate + RCT infrastructure tests: DES determinism, cluster
-// placement/queueing/utilization, flop accounting, both execution backends,
-// and EnTK pipelines with adaptivity.
+// placement/queueing/utilization, machine specs, both execution backends,
+// pilot walltime, the profile CSV, and EnTK pipelines with adaptivity and
+// retries.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <stdexcept>
+#include <string>
 
 #include "impeccable/hpc/cluster.hpp"
 #include "impeccable/hpc/des.hpp"
-#include "impeccable/hpc/flops.hpp"
 #include "impeccable/hpc/machine.hpp"
+#include "impeccable/obs/recorder.hpp"
 #include "impeccable/rct/backend.hpp"
 #include "impeccable/rct/entk.hpp"
+#include "impeccable/rct/profiler.hpp"
 
 namespace hpc = impeccable::hpc;
 namespace rct = impeccable::rct;
+namespace obs = impeccable::obs;
 
 // ---------------------------------------------------------------- Simulator
 
@@ -150,22 +157,6 @@ TEST(Cluster, UtilizationTimeSeriesTracksLoad) {
   EXPECT_NEAR(cluster.mean_gpu_utilization(0.0, 10.0), 1.0, 1e-9);
   EXPECT_NEAR(cluster.mean_gpu_utilization(10.0, 20.0), 0.0, 1e-9);
   EXPECT_NEAR(cluster.mean_gpu_utilization(0.0, 20.0), 0.5, 1e-9);
-}
-
-// ---------------------------------------------------------------- Flops
-
-TEST(Flops, TallyAndRates) {
-  hpc::FlopCounter fc;
-  fc.add("S1", 1000);
-  fc.add("S1", 500);
-  fc.add("ML1", 2000);
-  EXPECT_EQ(fc.total("S1"), 1500u);
-  EXPECT_EQ(fc.total("none"), 0u);
-  EXPECT_EQ(fc.grand_total(), 3500u);
-  EXPECT_DOUBLE_EQ(hpc::FlopCounter::tflops(2e12, 2.0), 1.0);
-  EXPECT_DOUBLE_EQ(hpc::FlopCounter::tflops(1e12, 0.0), 0.0);
-  fc.reset();
-  EXPECT_EQ(fc.grand_total(), 0u);
 }
 
 // ---------------------------------------------------------------- SimBackend
@@ -373,3 +364,217 @@ TEST(Entk, WorksOnLocalBackendWithRealPayloads) {
   EXPECT_EQ(stage2.load(), 6);
 }
 
+// ---------------------------------------------------------------- DES edges
+
+TEST(DesEdge, ProcessedCounterAndRunUntilResume) {
+  hpc::Simulator sim;
+  int hits = 0;
+  for (int i = 1; i <= 5; ++i)
+    sim.schedule_at(i, [&] { ++hits; });
+  sim.run_until(2.5);
+  EXPECT_EQ(hits, 2);
+  EXPECT_EQ(sim.processed(), 2u);
+  sim.run();
+  EXPECT_EQ(hits, 5);
+  EXPECT_EQ(sim.processed(), 5u);
+}
+
+// ---------------------------------------------------------------- machines
+
+TEST(MiscMachine, SpecsExposeTotals) {
+  const auto s = hpc::summit(10);
+  EXPECT_EQ(s.total_gpus(), 60);
+  EXPECT_EQ(s.total_cores(), 420);
+  const auto f = hpc::frontera(3);
+  EXPECT_EQ(f.total_gpus(), 0);
+  EXPECT_EQ(f.total_cores(), 168);
+}
+
+// ---------------------------------------------------------------- walltime
+
+TEST(PilotWalltime, LongTaskDiesAtBoundaryAndRetrySucceedsAfterSplit) {
+  rct::SimBackendOptions sopts;
+  sopts.pilot_walltime = 10.0;
+  sopts.task_overhead = 0.0;
+  rct::SimBackend backend(hpc::test_machine(1), sopts);
+
+  rct::TaskDescription t;
+  t.name = "long";
+  t.gpus = 1;
+  t.duration = 25.0;  // spans three allocations
+  std::vector<rct::TaskResult> results;
+  backend.submit(t, [&](const rct::TaskResult& r) { results.push_back(r); });
+  backend.drain();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_FALSE(results[0].ok);
+  EXPECT_EQ(results[0].error, "pilot walltime");
+  EXPECT_NEAR(results[0].end_time, 10.0, 1e-9);
+  EXPECT_GE(backend.pilot_generation(), 2);
+}
+
+TEST(PilotWalltime, ShortTasksSurviveAcrossGenerations) {
+  rct::SimBackendOptions sopts;
+  sopts.pilot_walltime = 20.0;
+  sopts.task_overhead = 0.0;
+  rct::SimBackend backend(hpc::test_machine(1), sopts);
+
+  // 12 tasks x 5 s on 6 GPUs: two waves fit in the first pilot; later
+  // submissions land in the second.
+  int ok = 0, killed = 0;
+  for (int i = 0; i < 30; ++i) {
+    rct::TaskDescription t;
+    t.gpus = 1;
+    t.duration = 5.0;
+    backend.submit(t, [&](const rct::TaskResult& r) {
+      if (r.ok) ++ok;
+      else ++killed;
+    });
+  }
+  backend.drain();
+  EXPECT_EQ(ok + killed, 30);
+  EXPECT_GT(ok, 20);  // most tasks fit within boundaries
+}
+
+TEST(PilotWalltime, AppManagerRetriesAcrossPilots) {
+  // A task whose duration fits a pilot but that starts mid-allocation gets
+  // killed once and then succeeds in the next pilot via EnTK retry.
+  rct::SimBackendOptions sopts;
+  sopts.pilot_walltime = 10.0;
+  sopts.task_overhead = 0.0;
+  rct::SimBackend backend(hpc::test_machine(1), sopts);
+  rct::AppManagerOptions mopts;
+  mopts.max_retries = 3;
+  mopts.stage_transition_overhead = 0.0;
+  rct::AppManager mgr(backend, mopts);
+
+  rct::Pipeline p("walltime");
+  rct::TaskDescription blocker;  // occupies the pilot for 6 s first
+  blocker.name = "blocker";
+  blocker.gpus = 6;
+  blocker.whole_nodes = 1;
+  blocker.duration = 6.0;
+  rct::TaskDescription work;  // 8 s: dies at t=10, succeeds on retry
+  work.name = "work";
+  work.gpus = 1;
+  work.duration = 8.0;
+  p.add_stage({"s1", {blocker}, nullptr});
+  p.add_stage({"s2", {work}, nullptr});
+
+  const auto report = mgr.run({std::move(p)});
+  ASSERT_EQ(report.results.size(), 2u);
+  for (const auto& r : report.results)
+    EXPECT_TRUE(r.ok) << r.name << ": " << r.error;
+  EXPECT_EQ(report.retries, 1u);
+}
+
+// ---------------------------------------------------------------- profile CSV
+
+TEST(ProfileCsv, WritesOneRowPerTask) {
+  obs::Recorder rec;
+  rct::SimBackend backend(hpc::test_machine(1));
+  rec.set_clock([&backend] { return backend.now(); });
+  backend.set_recorder(&rec);
+  for (int i = 0; i < 3; ++i) {
+    rct::TaskDescription t;
+    t.name = std::string("t") + std::to_string(i);
+    t.gpus = 1;
+    t.duration = 2.0;
+    backend.submit(t, [](const rct::TaskResult&) {});
+  }
+  backend.drain();
+
+  const auto path = std::filesystem::temp_directory_path() / "imp_profile.csv";
+  rct::SessionProfile::from_trace(rec.snapshot()).write_csv(path.string());
+  std::ifstream f(path);
+  std::string line;
+  int rows = 0;
+  std::getline(f, line);
+  EXPECT_EQ(line,
+            "name,submit,start,end,queue_wait,runtime,ok,cpus,gpus,"
+            "whole_nodes,error");
+  while (std::getline(f, line))
+    if (!line.empty()) ++rows;
+  EXPECT_EQ(rows, 3);
+  std::filesystem::remove(path);
+}
+
+// ---------------------------------------------------------------- EnTK edges
+
+TEST(MiscEntk, MakespanAndEmptyPipelines) {
+  rct::SimBackend backend(hpc::test_machine(1));
+  rct::AppManager mgr(backend);
+  // Zero pipelines and an all-empty pipeline both complete trivially.
+  EXPECT_TRUE(mgr.run({}).results.empty());
+  rct::Pipeline p("empty");
+  p.add_stage({"nothing", {}, nullptr});
+  const auto report = mgr.run({std::move(p)});
+  EXPECT_TRUE(report.results.empty());
+  EXPECT_EQ(report.failed(), 0u);
+}
+
+TEST(MiscEntk, TaskStateNames) {
+  EXPECT_STREQ(rct::to_string(rct::TaskState::New), "NEW");
+  EXPECT_STREQ(rct::to_string(rct::TaskState::Done), "DONE");
+  EXPECT_STREQ(rct::to_string(rct::TaskState::Failed), "FAILED");
+}
+
+// ---------------------------------------------------------------- retries
+
+TEST(EntkRetries, FlakyTaskEventuallySucceeds) {
+  rct::LocalBackend backend(2);
+  rct::AppManagerOptions opts;
+  opts.max_retries = 3;
+  rct::AppManager mgr(backend, opts);
+
+  std::atomic<int> attempts{0};
+  rct::Pipeline p("flaky");
+  rct::TaskDescription t;
+  t.name = "flaky";
+  t.payload = [&] {
+    if (attempts.fetch_add(1) < 2) throw std::runtime_error("transient");
+  };
+  p.add_stage({"s", {t}, nullptr});
+  const auto report = mgr.run({std::move(p)});
+  ASSERT_EQ(report.results.size(), 1u);
+  EXPECT_TRUE(report.results[0].ok);
+  EXPECT_EQ(attempts.load(), 3);
+  EXPECT_EQ(report.retries, 2u);
+  EXPECT_EQ(report.failed(), 0u);
+}
+
+TEST(EntkRetries, PermanentFailureIsRecordedAfterBudget) {
+  rct::LocalBackend backend(2);
+  rct::AppManagerOptions opts;
+  opts.max_retries = 2;
+  rct::AppManager mgr(backend, opts);
+
+  std::atomic<int> attempts{0};
+  rct::Pipeline p("dead");
+  rct::TaskDescription t;
+  t.name = "dead";
+  t.payload = [&] {
+    attempts.fetch_add(1);
+    throw std::runtime_error("permanent");
+  };
+  p.add_stage({"s", {t}, nullptr});
+  const auto report = mgr.run({std::move(p)});
+  ASSERT_EQ(report.results.size(), 1u);
+  EXPECT_FALSE(report.results[0].ok);
+  EXPECT_EQ(attempts.load(), 3);  // 1 + 2 retries
+  EXPECT_EQ(report.failed(), 1u);
+}
+
+TEST(EntkRetries, NoRetriesByDefault) {
+  rct::LocalBackend backend(1);
+  rct::AppManager mgr(backend);
+  std::atomic<int> attempts{0};
+  rct::Pipeline p("d");
+  rct::TaskDescription t;
+  t.payload = [&] {
+    attempts.fetch_add(1);
+    throw std::runtime_error("x");
+  };
+  p.add_stage({"s", {t}, nullptr});
+  mgr.run({std::move(p)});
+  EXPECT_EQ(attempts.load(), 1);
+}

@@ -262,10 +262,9 @@ TEST(GraphRunReport, RecordsNodeTimingsAndRunTotals) {
   EXPECT_EQ(report.completed(), 2u);
   EXPECT_EQ(report.failed(), 0u);
 
-  // Histogram covers every node once.
-  std::size_t binned = 0;
-  for (const auto& [edge, count] : report.ready_wait_histogram()) binned += count;
-  EXPECT_EQ(binned, report.nodes.size());
+  EXPECT_EQ(report.ready_waits(),
+            (std::vector<double>{report.nodes[0].ready_wait(),
+                                 report.nodes[1].ready_wait()}));
 
   // Results arrive in completion order.
   EXPECT_EQ(report.retries, 0u);

@@ -18,11 +18,13 @@
 #      in common/lockdep.hpp is enforced on every acquisition the suite
 #      drives — plus the audit label again under that configuration;
 #   5. tsan preset: the concurrency-sensitive subsets (obs + graph + serve
-#      + library + multi labels — serve covers the inference server's
+#      + library + ml + multi labels — serve covers the inference server's
 #      worker/submitter paths and the concurrent
 #      SurrogateModel::predict_batch contract; library covers
-#      LigandSource featurization fanned out over a ThreadPool; multi
-#      covers shared-backend multi-target campaign runs);
+#      LigandSource featurization fanned out over a ThreadPool; ml covers
+#      predict_batch's whole-network chunk jobs, two callers sharing one
+#      pool, and the layers' training fan-out; multi covers shared-backend
+#      multi-target campaign runs);
 #   6. native preset (-march=native Release): dock + ml + graph. The
 #      `dock`-labelled suite — the batched SIMD scorer's bitwise-equivalence
 #      gate must hold under the widest vectorization the host supports, not
@@ -112,6 +114,9 @@ ctest --preset tsan-serve -j "$JOBS"
 
 echo "== tsan: library-labeled tests (featurization fanned out over the pool) =="
 ctest --preset tsan-library -j "$JOBS"
+
+echo "== tsan: ml-labeled tests (whole-network predict_batch jobs on the pool) =="
+ctest --preset tsan-ml -j "$JOBS"
 
 echo "== tsan: multi-labeled tests (shared-backend multi-target campaigns) =="
 ctest --preset tsan-multi -j "$JOBS"

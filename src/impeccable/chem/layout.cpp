@@ -24,67 +24,92 @@ double ideal_bond_length(const Molecule& mol, int bond_index) {
 std::vector<Point2> layout_2d(const Molecule& mol, std::uint64_t seed,
                               int iterations) {
   const int n = mol.atom_count();
-  std::vector<Point2> pos(static_cast<std::size_t>(n));
+  const std::size_t atoms = static_cast<std::size_t>(n);
+  // Positions and forces live in SoA arrays so the all-pairs repulsion
+  // vectorizes; `tx`/`ty` hold one row's pair terms.
+  std::vector<double> px(atoms), py(atoms);
   common::Rng rng(seed);
-  for (auto& p : pos) {
-    p.x = rng.uniform(-1.0, 1.0);
-    p.y = rng.uniform(-1.0, 1.0);
+  for (std::size_t i = 0; i < atoms; ++i) {
+    px[i] = rng.uniform(-1.0, 1.0);
+    py[i] = rng.uniform(-1.0, 1.0);
   }
   if (n == 1) return {{0.0, 0.0}};
 
+  struct Spring {
+    std::size_t a, b;
+  };
+  std::vector<Spring> springs;
+  springs.reserve(static_cast<std::size_t>(mol.bond_count()));
+  for (int bi = 0; bi < mol.bond_count(); ++bi)
+    springs.push_back({static_cast<std::size_t>(mol.bond(bi).a),
+                       static_cast<std::size_t>(mol.bond(bi).b)});
+
   // Fruchterman–Reingold-style iterations with unit ideal bond length.
   const int iters = std::max(1, iterations);
-  std::vector<Point2> force(static_cast<std::size_t>(n));
+  std::vector<double> fx(atoms), fy(atoms), tx(atoms), ty(atoms);
   for (int it = 0; it < iters; ++it) {
     const double step = 0.12 * (1.0 - static_cast<double>(it) / iters) + 0.01;
-    force.assign(static_cast<std::size_t>(n), Point2{});
-    // Repulsion between all pairs.
-    for (int i = 0; i < n; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        double dx = pos[static_cast<std::size_t>(i)].x - pos[static_cast<std::size_t>(j)].x;
-        double dy = pos[static_cast<std::size_t>(i)].y - pos[static_cast<std::size_t>(j)].y;
-        double d2 = dx * dx + dy * dy + 1e-6;
+    std::fill(fx.begin(), fx.end(), 0.0);
+    std::fill(fy.begin(), fy.end(), 0.0);
+    // Repulsion between all pairs. Row i's terms are computed in one vector
+    // loop that also subtracts them from force[j]; adding them to force[i]
+    // afterwards in ascending j keeps every force's order of summation, so
+    // the result is bitwise that of the scalar pair loop.
+    for (std::size_t i = 0; i < atoms; ++i) {
+      const double xi = px[i], yi = py[i];
+#pragma omp simd
+      for (std::size_t j = i + 1; j < atoms; ++j) {
+        const double dx = xi - px[j];
+        const double dy = yi - py[j];
+        const double d2 = dx * dx + dy * dy + 1e-6;
         const double f = 0.35 / d2;
         const double d = std::sqrt(d2);
-        dx /= d; dy /= d;
-        force[static_cast<std::size_t>(i)].x += f * dx;
-        force[static_cast<std::size_t>(i)].y += f * dy;
-        force[static_cast<std::size_t>(j)].x -= f * dx;
-        force[static_cast<std::size_t>(j)].y -= f * dy;
+        const double ux = f * (dx / d);
+        const double uy = f * (dy / d);
+        tx[j] = ux;
+        ty[j] = uy;
+        fx[j] -= ux;
+        fy[j] -= uy;
       }
+      double sx = fx[i], sy = fy[i];
+      for (std::size_t j = i + 1; j < atoms; ++j) {
+        sx += tx[j];
+        sy += ty[j];
+      }
+      fx[i] = sx;
+      fy[i] = sy;
     }
     // Springs along bonds (ideal length 1).
-    for (int bi = 0; bi < mol.bond_count(); ++bi) {
-      const Bond& b = mol.bond(bi);
-      double dx = pos[static_cast<std::size_t>(b.b)].x - pos[static_cast<std::size_t>(b.a)].x;
-      double dy = pos[static_cast<std::size_t>(b.b)].y - pos[static_cast<std::size_t>(b.a)].y;
+    for (const Spring& b : springs) {
+      double dx = px[b.b] - px[b.a];
+      double dy = py[b.b] - py[b.a];
       const double d = std::sqrt(dx * dx + dy * dy) + 1e-9;
       const double f = 1.2 * (d - 1.0);
       dx /= d; dy /= d;
-      force[static_cast<std::size_t>(b.a)].x += f * dx;
-      force[static_cast<std::size_t>(b.a)].y += f * dy;
-      force[static_cast<std::size_t>(b.b)].x -= f * dx;
-      force[static_cast<std::size_t>(b.b)].y -= f * dy;
+      fx[b.a] += f * dx;
+      fy[b.a] += f * dy;
+      fx[b.b] -= f * dx;
+      fy[b.b] -= f * dy;
     }
-    for (int i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < atoms; ++i) {
       // Clamp displacement to keep the embedding stable.
-      double fx = force[static_cast<std::size_t>(i)].x;
-      double fy = force[static_cast<std::size_t>(i)].y;
-      const double fn = std::sqrt(fx * fx + fy * fy);
-      if (fn > 1.0) { fx /= fn; fy /= fn; }
-      pos[static_cast<std::size_t>(i)].x += step * fx;
-      pos[static_cast<std::size_t>(i)].y += step * fy;
+      double dx = fx[i], dy = fy[i];
+      const double fn = std::sqrt(dx * dx + dy * dy);
+      if (fn > 1.0) { dx /= fn; dy /= fn; }
+      px[i] += step * dx;
+      py[i] += step * dy;
     }
   }
 
   // Center and scale to unit RMS radius.
   double cx = 0, cy = 0;
-  for (const auto& p : pos) { cx += p.x; cy += p.y; }
+  for (std::size_t i = 0; i < atoms; ++i) { cx += px[i]; cy += py[i]; }
   cx /= n; cy /= n;
   double rms = 0;
-  for (auto& p : pos) {
-    p.x -= cx; p.y -= cy;
-    rms += p.x * p.x + p.y * p.y;
+  std::vector<Point2> pos(atoms);
+  for (std::size_t i = 0; i < atoms; ++i) {
+    pos[i] = {px[i] - cx, py[i] - cy};
+    rms += pos[i].x * pos[i].x + pos[i].y * pos[i].y;
   }
   rms = std::sqrt(rms / n);
   if (rms > 1e-9)

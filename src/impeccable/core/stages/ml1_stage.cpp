@@ -7,6 +7,7 @@
 #include "impeccable/common/rng.hpp"
 #include "impeccable/ml/res.hpp"
 #include "impeccable/ml/streaming.hpp"
+#include "impeccable/ml/surrogate.hpp"
 
 namespace impeccable::core::stages {
 
@@ -45,8 +46,6 @@ std::vector<rct::TaskDescription> Ml1Stage::build(CampaignState& cs) {
     return tasks;
   }
 
-  surrogate_ = std::make_unique<ml::SurrogateModel>(cs.config->surrogate);
-
   rct::TaskDescription t;
   t.name = "ml1-train-infer";
   t.duration = cs.config->sim_durations.ml1;
@@ -55,13 +54,16 @@ std::vector<rct::TaskDescription> Ml1Stage::build(CampaignState& cs) {
     // Iteration 0 has no training data yet; the merge step bootstraps with
     // a random diverse sample instead.
     if (iter_ == 0 || st->train_images.size() < 8) return;
+    // A fresh model per run: a payload re-run after a killed attempt
+    // trains from the same initial weights, not from the killed run's.
+    ml::SurrogateModel surrogate(st->config->surrogate);
     const auto& scores = st->train_scores;
     const double best = *std::min_element(scores.begin(), scores.end());
     const double worst = *std::max_element(scores.begin(), scores.end());
     std::vector<float> labels;
     labels.reserve(scores.size());
     for (double s : scores) labels.push_back(ml::score_to_label(s, best, worst));
-    surrogate_->train(st->train_images, labels);
+    surrogate.train(st->train_images, labels);
 
     // Library-wide inference, streamed in bounded windows into the score
     // spill (file-backed when the library itself is out-of-core, so neither
@@ -75,10 +77,10 @@ std::vector<rct::TaskDescription> Ml1Stage::build(CampaignState& cs) {
                   n, st->store_dir + "/scores-" + st->target->name + "-iter" +
                          std::to_string(iter_) + ".f32")
             : ml::ScoreSpill::in_memory(n));
-    ml::score_ligands(*st->source, *surrogate_, 0, n,
+    ml::score_ligands(*st->source, surrogate, 0, n,
                       st->config->featurize_window, spill.get());
     s_->scores = std::move(spill);
-    s_->ml1_flops = surrogate_->flops_per_image() *
+    s_->ml1_flops = surrogate.flops_per_image() *
                     (n + 3 * st->train_images.size() *
                              static_cast<std::size_t>(
                                  st->config->surrogate.epochs));

@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "impeccable/core/stages/stage.hpp"
-#include "impeccable/ml/surrogate.hpp"
 
 namespace impeccable::core::stages {
 
@@ -21,7 +20,6 @@ class Ml1Stage : public Stage {
  private:
   int iter_;
   std::shared_ptr<IterationScratch> s_;
-  std::unique_ptr<ml::SurrogateModel> surrogate_;
 };
 
 }  // namespace impeccable::core::stages

@@ -30,6 +30,10 @@ std::vector<rct::TaskDescription> S2AaeStage::build(CampaignState& cs) {
   CampaignState* st = &cs;
   auto scratch = s_;
   t.payload = [st, scratch] {
+    // Start from an empty FG slot, so a payload re-run after a killed
+    // attempt does not append a second set of jobs.
+    scratch->fg_jobs.clear();
+    scratch->fg_results.clear();
     // Rank CG compounds by energy; keep the top binders.
     std::vector<std::size_t> order(scratch->cg_pick.size());
     std::iota(order.begin(), order.end(), std::size_t{0});

@@ -40,8 +40,10 @@ void gemm_naive(Trans ta, Trans tb, int M, int N, int K, float alpha,
                 const float* A, int lda, const float* B, int ldb, float beta,
                 float* C, int ldc);
 
-/// Process-wide compute pool used by the NN layers for intra-layer
-/// parallelism. Defaults to nullptr (serial). Not owned; the caller keeps
+/// Process-wide compute pool: SurrogateModel::predict_batch fans image
+/// chunks out over it (one whole-network job each), and the NN layers'
+/// forward/backward fan images out over it during training. Defaults to
+/// nullptr (serial). Not owned; the caller keeps
 /// the pool alive while it is installed. Returns the previous pool.
 common::ThreadPool* set_compute_pool(common::ThreadPool* pool);
 common::ThreadPool* compute_pool();

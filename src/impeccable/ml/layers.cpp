@@ -22,17 +22,18 @@ Tensor Layer::infer(const Tensor&) const {
 namespace {
 
 /// Run body(lo, hi) over consecutive image ranges of `grain` images that
-/// cover [0, n), fanned out over the compute pool when it has more than one
-/// worker. Every caller writes only the output slabs of its own images, so
-/// results never depend on the pool size or on the chunking.
+/// cover [0, n), fanned out over `pool` when it has more than one worker
+/// (nullptr runs them in order on the calling thread). Every caller writes
+/// only the output slabs of its own images, so results never depend on the
+/// pool size or on the chunking.
 template <typename Body>
-void for_image_chunks(std::size_t n, std::size_t grain, const Body& body) {
+void for_image_chunks(std::size_t n, std::size_t grain,
+                      common::ThreadPool* pool, const Body& body) {
   grain = std::max<std::size_t>(1, grain);
   const std::size_t chunks = (n + grain - 1) / grain;
   auto run = [&](std::size_t c) {
     body(c * grain, std::min(n, (c + 1) * grain));
   };
-  common::ThreadPool* pool = compute_pool();
   if (pool && pool->size() > 1 && chunks > 1) {
     pool->parallel_for(0, chunks, run, 1);
   } else {
@@ -44,8 +45,7 @@ void for_image_chunks(std::size_t n, std::size_t grain, const Body& body) {
 /// chunk in flight per thread — the peak of one buffer per running image —
 /// and four chunks per thread (the caller included) to keep the pool
 /// balanced.
-std::size_t conv_grain(std::size_t images) {
-  const common::ThreadPool* pool = compute_pool();
+std::size_t conv_grain(std::size_t images, const common::ThreadPool* pool) {
   const std::size_t chunks = 4 * (pool ? pool->size() + 1 : 1);
   return (images + chunks - 1) / chunks;
 }
@@ -69,7 +69,7 @@ Dense::Dense(int in, int out, common::Rng& rng)
       weight_grad({out, in}),
       bias_grad({out}) {}
 
-Tensor Dense::apply(const Tensor& x) const {
+Tensor Dense::apply(const Tensor& x, common::ThreadPool* pool) const {
   if (x.rank() != 2 || x.dim(1) != weight.dim(1))
     throw std::invalid_argument("Dense::forward: bad input shape " + x.shape_string());
   const int n = x.dim(0), in = weight.dim(1), out = weight.dim(0);
@@ -80,17 +80,17 @@ Tensor Dense::apply(const Tensor& x) const {
     std::copy(bias.data(), bias.data() + out,
               y.data() + static_cast<std::size_t>(i) * out);
   gemm(Trans::No, Trans::Yes, n, out, in, 1.0f, x.data(), in, weight.data(), in,
-       1.0f, y.data(), out, compute_pool());
+       1.0f, y.data(), out, pool);
   return y;
 }
 
 Tensor Dense::forward(const Tensor& x) {
-  Tensor y = apply(x);
+  Tensor y = apply(x, compute_pool());
   input_ = x;
   return y;
 }
 
-Tensor Dense::infer(const Tensor& x) const { return apply(x); }
+Tensor Dense::infer(const Tensor& x) const { return apply(x, nullptr); }
 
 Tensor Dense::backward(const Tensor& grad_out) {
   const int n = input_.dim(0), in = weight.dim(1), out = weight.dim(0);
@@ -114,14 +114,16 @@ std::vector<Param> Dense::params() {
 
 // ---------------------------------------------------------------- ReLU
 
-Tensor ReLU::apply(const Tensor& x, Tensor* mask) const {
+Tensor ReLU::apply(const Tensor& x, Tensor* mask,
+                   common::ThreadPool* pool) const {
   Tensor y(x.shape());
   if (mask) *mask = Tensor(x.shape());
   const std::size_t n = x.rank() > 0 ? static_cast<std::size_t>(x.dim(0)) : 1;
   const std::size_t per = n > 0 ? x.size() / n : 0;
   // `x > 0 ? x : 0` maps NaN and -0 to +0; the mask is 1 exactly where the
   // value passed through.
-  for_image_chunks(n, elementwise_grain(per), [&](std::size_t lo, std::size_t hi) {
+  for_image_chunks(n, elementwise_grain(per), pool,
+                   [&](std::size_t lo, std::size_t hi) {
     const std::size_t count = (hi - lo) * per;
     const float* xs = x.data() + lo * per;
     float* ys = y.data() + lo * per;
@@ -142,9 +144,11 @@ Tensor ReLU::apply(const Tensor& x, Tensor* mask) const {
   return y;
 }
 
-Tensor ReLU::forward(const Tensor& x) { return apply(x, &mask_); }
+Tensor ReLU::forward(const Tensor& x) {
+  return apply(x, &mask_, compute_pool());
+}
 
-Tensor ReLU::infer(const Tensor& x) const { return apply(x, nullptr); }
+Tensor ReLU::infer(const Tensor& x) const { return apply(x, nullptr, nullptr); }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
   check_same_shape(grad_out, mask_, "ReLU::backward");
@@ -243,7 +247,7 @@ Conv3x3::Conv3x3(int in_channels, int out_channels, common::Rng& rng)
       weight_grad({out_channels, in_channels, 3, 3}),
       bias_grad({out_channels}) {}
 
-Tensor Conv3x3::apply(const Tensor& x) const {
+Tensor Conv3x3::apply(const Tensor& x, common::ThreadPool* pool) const {
   if (x.rank() != 4 || x.dim(1) != weight.dim(1))
     throw std::invalid_argument("Conv3x3::forward: bad input " + x.shape_string());
   const int n = x.dim(0), cin = x.dim(1), h = x.dim(2), w = x.dim(3);
@@ -255,7 +259,8 @@ Tensor Conv3x3::apply(const Tensor& x) const {
   // Images write disjoint output slabs, so fanning out over the pool keeps
   // results identical to the serial pass.
   const std::size_t images = static_cast<std::size_t>(n);
-  for_image_chunks(images, conv_grain(images), [&](std::size_t lo, std::size_t hi) {
+  for_image_chunks(images, conv_grain(images, pool), pool,
+                   [&](std::size_t lo, std::size_t hi) {
     std::vector<float> col(static_cast<std::size_t>(kdim) * hw);
     for (std::size_t b = lo; b < hi; ++b) {
       im2col3x3(x.data() + b * cin * hw, cin, h, w, col.data());
@@ -273,12 +278,12 @@ Tensor Conv3x3::apply(const Tensor& x) const {
 }
 
 Tensor Conv3x3::forward(const Tensor& x) {
-  Tensor y = apply(x);
+  Tensor y = apply(x, compute_pool());
   input_ = x;
   return y;
 }
 
-Tensor Conv3x3::infer(const Tensor& x) const { return apply(x); }
+Tensor Conv3x3::infer(const Tensor& x) const { return apply(x, nullptr); }
 
 Tensor Conv3x3::backward(const Tensor& grad_out) {
   const int n = input_.dim(0), cin = input_.dim(1), h = input_.dim(2),
@@ -290,7 +295,9 @@ Tensor Conv3x3::backward(const Tensor& grad_out) {
   // Pass 1 — input gradients, independent per image (disjoint slabs, safe to
   // fan out): dcol_b = W^T · g_b, then fold back with col2im.
   const std::size_t images = static_cast<std::size_t>(n);
-  for_image_chunks(images, conv_grain(images), [&](std::size_t lo, std::size_t hi) {
+  common::ThreadPool* pool = compute_pool();
+  for_image_chunks(images, conv_grain(images, pool), pool,
+                   [&](std::size_t lo, std::size_t hi) {
     std::vector<float> dcol(static_cast<std::size_t>(kdim) * hw);
     for (std::size_t b = lo; b < hi; ++b) {
       gemm(Trans::Yes, Trans::No, kdim, static_cast<int>(hw), cout, 1.0f,
@@ -365,13 +372,14 @@ void maxpool2_image(const float* x, int c, int h, int w, int base, float* y,
 
 }  // namespace
 
-Tensor MaxPool2::apply(const Tensor& x, std::vector<int>* argmax) const {
+Tensor MaxPool2::apply(const Tensor& x, std::vector<int>* argmax,
+                       common::ThreadPool* pool) const {
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   Tensor y({n, c, h / 2, w / 2});
   if (argmax) argmax->assign(y.size(), 0);
   const std::size_t in_per = static_cast<std::size_t>(c) * h * w;
   const std::size_t out_per = static_cast<std::size_t>(c) * (h / 2) * (w / 2);
-  for_image_chunks(static_cast<std::size_t>(n), elementwise_grain(in_per),
+  for_image_chunks(static_cast<std::size_t>(n), elementwise_grain(in_per), pool,
                    [&](std::size_t lo, std::size_t hi) {
     for (std::size_t b = lo; b < hi; ++b) {
       const float* xb = x.data() + b * in_per;
@@ -389,10 +397,12 @@ Tensor MaxPool2::apply(const Tensor& x, std::vector<int>* argmax) const {
 
 Tensor MaxPool2::forward(const Tensor& x) {
   in_shape_ = x.shape();
-  return apply(x, &argmax_);
+  return apply(x, &argmax_, compute_pool());
 }
 
-Tensor MaxPool2::infer(const Tensor& x) const { return apply(x, nullptr); }
+Tensor MaxPool2::infer(const Tensor& x) const {
+  return apply(x, nullptr, nullptr);
+}
 
 Tensor MaxPool2::backward(const Tensor& grad_out) {
   Tensor grad_in(in_shape_);
@@ -509,8 +519,10 @@ Tensor Sequential::forward(const Tensor& x) {
 }
 
 Tensor Sequential::infer(const Tensor& x) const {
-  Tensor cur = x;
-  for (const auto& l : layers_) cur = l->infer(cur);
+  if (layers_.empty()) return x;
+  Tensor cur = layers_.front()->infer(x);
+  for (auto it = std::next(layers_.begin()); it != layers_.end(); ++it)
+    cur = (*it)->infer(cur);
   return cur;
 }
 

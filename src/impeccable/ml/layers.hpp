@@ -4,12 +4,21 @@
 // Each layer caches what it needs from the forward pass; backward() takes
 // dL/d(output) and returns dL/d(input) while accumulating parameter
 // gradients. Optimizers consume the (value, grad) parameter pairs.
+//
+// Fan-out: forward()/backward() spread a batch's images over
+// ml::compute_pool() layer by layer (training). infer() never fans out: it
+// runs on the calling thread, and SurrogateModel::predict_batch fans whole
+// networks out over image chunks instead, one pool job per chunk.
 
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "impeccable/ml/tensor.hpp"
+
+namespace impeccable::common {
+class ThreadPool;
+}  // namespace impeccable::common
 
 namespace impeccable::ml {
 
@@ -26,9 +35,10 @@ class Layer {
   /// Inference-only forward pass: bitwise-identical outputs to forward()
   /// (both run the same compute code), but const — nothing is cached for a
   /// later backward(), so concurrent infer() calls on a shared layer are
-  /// data-race-free. The serving path (serve::InferenceServer) and any
-  /// multi-threaded predict depend on this. Default throws for layers that
-  /// have no inference semantics.
+  /// data-race-free — and serial on the calling thread. predict_batch's
+  /// concurrent chunk jobs and the serving path (serve::InferenceServer)
+  /// depend on this. Default throws for layers that have no inference
+  /// semantics.
   virtual Tensor infer(const Tensor& x) const;
   virtual std::vector<Param> params() { return {}; }
   void zero_grad();
@@ -48,7 +58,8 @@ class Dense : public Layer {
   Tensor weight_grad, bias_grad;
 
  private:
-  Tensor apply(const Tensor& x) const;  ///< shared forward/infer compute
+  /// Shared forward/infer compute; `pool` is null for infer().
+  Tensor apply(const Tensor& x, common::ThreadPool* pool) const;
   Tensor input_;
 };
 
@@ -60,8 +71,8 @@ class ReLU : public Layer {
   Tensor infer(const Tensor& x) const override;
 
  private:
-  /// Shared forward/infer compute; `mask` may be null (inference).
-  Tensor apply(const Tensor& x, Tensor* mask) const;
+  /// Shared forward/infer compute; `mask` and `pool` are null for infer().
+  Tensor apply(const Tensor& x, Tensor* mask, common::ThreadPool* pool) const;
   Tensor mask_;
 };
 
@@ -90,7 +101,8 @@ class Conv3x3 : public Layer {
   Tensor weight_grad, bias_grad;
 
  private:
-  Tensor apply(const Tensor& x) const;  ///< shared forward/infer compute
+  /// Shared forward/infer compute; `pool` is null for infer().
+  Tensor apply(const Tensor& x, common::ThreadPool* pool) const;
   Tensor input_;
 };
 
@@ -102,8 +114,9 @@ class MaxPool2 : public Layer {
   Tensor infer(const Tensor& x) const override;
 
  private:
-  /// Shared forward/infer compute; `argmax` may be null (inference).
-  Tensor apply(const Tensor& x, std::vector<int>* argmax) const;
+  /// Shared forward/infer compute; `argmax` and `pool` are null for infer().
+  Tensor apply(const Tensor& x, std::vector<int>* argmax,
+               common::ThreadPool* pool) const;
   std::vector<int> argmax_;
   std::vector<int> in_shape_;
 };

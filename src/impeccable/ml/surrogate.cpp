@@ -5,6 +5,8 @@
 #include <stdexcept>
 
 #include "impeccable/common/rng.hpp"
+#include "impeccable/common/thread_pool.hpp"
+#include "impeccable/ml/gemm.hpp"
 #include "impeccable/ml/loss.hpp"
 #include "impeccable/obs/recorder.hpp"
 
@@ -126,18 +128,29 @@ std::vector<float> SurrogateModel::predict_batch(
     const std::vector<chem::Image>& images) const {
   obs::Span span(obs::cat::kMl, "surrogate-predict");
   span.arg("images", static_cast<double>(images.size()));
-  std::vector<float> out;
-  out.reserve(images.size());
+  const std::size_t n = images.size();
+  std::vector<float> out(n);
   const std::size_t chunk =
       static_cast<std::size_t>(std::max(1, opts_.predict_chunk));
-  // Per-call scratch + the layers' cache-free infer() path: no shared
-  // mutable state, so concurrent predict_batch calls are data-race-free.
-  Tensor x;  // one scratch across all full-sized chunks of THIS call
-  for (std::size_t at = 0; at < images.size(); at += chunk) {
-    const std::size_t bs = std::min(chunk, images.size() - at);
+  const std::size_t chunks = (n + chunk - 1) / chunk;
+  // The one inference fan-out: each pool job packs its chunk and runs the
+  // whole network on it serially (infer() never fans out), then writes its
+  // scores to their own slots of `out`. Every score is a function of its
+  // image alone, so the result is the same at any pool size and chunk size.
+  // Scratch is per job and the layers' infer() path caches nothing, so
+  // concurrent predict_batch calls are data-race-free.
+  auto run = [&](std::size_t c) {
+    const std::size_t at = c * chunk;
+    const std::size_t bs = std::min(chunk, n - at);
+    Tensor x;
     to_tensor(images, at, bs, x);
     const Tensor pred = net_.infer(x);
-    for (std::size_t i = 0; i < bs; ++i) out.push_back(pred[i]);
+    std::copy(pred.data(), pred.data() + bs, out.data() + at);
+  };
+  if (common::ThreadPool* pool = compute_pool()) {
+    pool->parallel_for(0, chunks, run, 1);
+  } else {
+    for (std::size_t c = 0; c < chunks; ++c) run(c);
   }
   return out;
 }

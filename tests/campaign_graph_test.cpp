@@ -205,3 +205,32 @@ TEST(CampaignGraph, RetryConfigFlowsThroughToTheEngine) {
   EXPECT_EQ(report.iterations[0].docked, 12u);
   EXPECT_GT(report.iterations[0].fg_runs, 0u);
 }
+
+TEST(CampaignGraph, RetriedPayloadsLeaveScienceUnchanged) {
+  // RetryConfigFlowsThroughToTheEngine's settings over both iterations, so
+  // a trained ML1 is among the killed tasks. A task killed at a pilot
+  // boundary has already run its payload, and its retry runs it again; the
+  // re-run must not add FG jobs or retrain an already-trained surrogate.
+  core::CampaignConfig cfg = graph_config();
+  cfg.max_retries = 4;
+  cfg.stage_transition_overhead = 0.1;
+  cfg.sim_durations = {.ml1 = 5.0, .dock = 1.0, .cg = 8.0, .s2 = 5.0, .fg = 8.0};
+
+  rct::SimBackend unlimited(hpc::test_machine(4));
+  const core::CampaignReport want =
+      core::Campaign(graph_target(), cfg).run(unlimited);
+
+  rct::SimBackendOptions sopts;
+  sopts.pilot_walltime = 10.0;
+  rct::SimBackend limited(hpc::test_machine(4), sopts);
+  const core::CampaignReport got =
+      core::Campaign(graph_target(), cfg).run(limited);
+  ASSERT_GT(limited.pilot_generation(), 1);
+
+  ASSERT_EQ(got.iterations.size(), want.iterations.size());
+  for (std::size_t i = 0; i < got.iterations.size(); ++i)
+    EXPECT_EQ(got.iterations[i].fg_runs, want.iterations[i].fg_runs)
+        << "iteration " << i;
+  EXPECT_EQ(got.flops.at("S3-FG"), want.flops.at("S3-FG"));
+  EXPECT_EQ(got.science_fingerprint(), want.science_fingerprint());
+}

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "impeccable/chem/depiction.hpp"
+#include "impeccable/chem/layout.hpp"
 #include "impeccable/chem/library.hpp"
 #include "impeccable/chem/ligand_source.hpp"
 #include "impeccable/chem/smiles.hpp"
@@ -248,4 +249,30 @@ TEST(FeaturizePool, ScoreLigandsOnComputePoolMatchesSerialAndCounts) {
   // One add per window: 53 ligands in windows of 16 is 4 windows.
   EXPECT_EQ(rec.metrics().counter("ml.score.ligands").value(), kLigands);
   EXPECT_EQ(rec.metrics().counter("ml.score.windows").value(), 4u);
+}
+
+TEST(Layout, Layout2dAndEmbed3dMatchRecordedDigest) {
+  // FNV-1a-64 of layout_2d's coordinates over 2000 generated molecules and
+  // of embed_3d's over the first 200, recorded from the default
+  // (RelWithDebInfo) build. Every depiction and every docking ligand starts
+  // from these coordinates, so a rewrite of the layout, or a build flag,
+  // that moves one bit fails here.
+  const chem::CompoundLibrary lib = chem::generate_library("LAY", 2000, 0x1a70);
+  std::uint64_t flat = chem::kFnvOffset64, embedded = chem::kFnvOffset64;
+  for (std::size_t i = 0; i < lib.size(); ++i) {
+    const chem::Molecule mol = chem::parse_smiles(lib.entries[i].smiles);
+    const std::vector<chem::Point2> pos = chem::layout_2d(mol);
+    for (const chem::Point2& p : pos) {
+      flat = chem::fnv1a64(&p.x, sizeof p.x, flat);
+      flat = chem::fnv1a64(&p.y, sizeof p.y, flat);
+    }
+    if (i >= 200) continue;
+    for (const auto& v : chem::embed_3d(mol)) {
+      embedded = chem::fnv1a64(&v.x, sizeof v.x, embedded);
+      embedded = chem::fnv1a64(&v.y, sizeof v.y, embedded);
+      embedded = chem::fnv1a64(&v.z, sizeof v.z, embedded);
+    }
+  }
+  EXPECT_EQ(flat, 0x0e1f0ef9acdee8b9ULL);
+  EXPECT_EQ(embedded, 0x2d8d027e7bd902e5ULL);
 }

@@ -11,10 +11,14 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <optional>
+#include <thread>
 
 #include "impeccable/chem/depiction.hpp"
 #include "impeccable/chem/library.hpp"
+#include "impeccable/chem/ligand_source.hpp"
 #include "impeccable/chem/smiles.hpp"
+#include "impeccable/chem/store.hpp"
 #include "impeccable/common/thread_pool.hpp"
 #include "impeccable/ml/aae.hpp"
 #include "impeccable/ml/gemm.hpp"
@@ -267,10 +271,11 @@ TEST(Layers, ReluInferMatchesForwardBitwiseAcrossPools) {
     want[i] = x[i] > 0.0f ? x[i] : 0.0f;  // NaN and -0 map to +0
     want_grad[i] = x[i] > 0.0f ? g[i] : 0.0f * g[i];
   }
+  // infer() runs serially; forward() fans images out over the pool.
+  EXPECT_TRUE(bitwise_equal(ml::ReLU().infer(x), want));
   for (std::size_t workers : {1, 2, 4}) {
     ScopedComputePool pool(workers);
     ml::ReLU relu;
-    EXPECT_TRUE(bitwise_equal(relu.infer(x), want)) << workers << " workers";
     EXPECT_TRUE(bitwise_equal(relu.forward(x), want)) << workers << " workers";
     EXPECT_TRUE(bitwise_equal(relu.backward(g), want_grad))
         << workers << " workers";
@@ -286,10 +291,11 @@ TEST(Layers, MaxPoolInferMatchesForwardBitwiseAcrossPools) {
   ml::Tensor want_grad(x.shape());
   for (std::size_t i = 0; i < g.size(); ++i)
     want_grad[static_cast<std::size_t>(argmax[i])] += g[i];
+  // infer() runs serially; forward() fans images out over the pool.
+  EXPECT_TRUE(bitwise_equal(ml::MaxPool2().infer(x), want));
   for (std::size_t workers : {1, 2, 4}) {
     ScopedComputePool pool(workers);
     ml::MaxPool2 mp;
-    EXPECT_TRUE(bitwise_equal(mp.infer(x), want)) << workers << " workers";
     EXPECT_TRUE(bitwise_equal(mp.forward(x), want)) << workers << " workers";
     // backward() routes through the cached argmax: same routing, same bits.
     EXPECT_TRUE(bitwise_equal(mp.backward(g), want_grad))
@@ -298,17 +304,17 @@ TEST(Layers, MaxPoolInferMatchesForwardBitwiseAcrossPools) {
 }
 
 TEST(Layers, ResidualBlockInferMatchesForwardBitwiseAcrossPools) {
+  // infer() runs serially; forward() fans images out over the pool (the
+  // convolutions and ReLUs inside the block) and must match it bitwise.
   const ml::Tensor x = hostile_tensor({6, 16, 8, 8}, 25);
-  ml::Tensor reference;
+  Rng init(5);
+  const ml::Tensor inferred = ml::ResidualBlock(16, init).infer(x);
   for (std::size_t workers : {1, 2, 4}) {
     ScopedComputePool pool(workers);
     Rng rng(5);
     ml::ResidualBlock block(16, rng);
-    const ml::Tensor inferred = block.infer(x);
     EXPECT_TRUE(bitwise_equal(block.forward(x), inferred))
         << workers << " workers";
-    if (reference.size() == 0) reference = inferred;
-    EXPECT_TRUE(bitwise_equal(inferred, reference)) << workers << " workers";
   }
 }
 
@@ -545,6 +551,71 @@ TEST(Surrogate, PredictTrainPredictBitwiseAcrossPools) {
   EXPECT_EQ(std::memcmp(runs[0].data(), runs[1].data(),
                         runs[0].size() * sizeof(float)),
             0);
+}
+
+TEST(Surrogate, PredictBatchMatchesRecordedDigest) {
+  // FNV-1a-64 of predict_batch's scores over 2000 generated ligands,
+  // recorded from the default (RelWithDebInfo) build. No pool and pools of
+  // 1, 2 and 4 workers at the default chunk, and chunks of 1, 7, 16 and 64
+  // images at 4 workers, must give these bytes, so a change to how
+  // inference fans out, or a build flag, that moves one score fails here.
+  constexpr std::uint64_t kScoresDigest = 0xc458682108a259f6ULL;
+  constexpr std::uint64_t kTwoImageDigest = 0x2ef192e46a5203baULL;
+  std::vector<chem::Image> images;
+  {
+    impeccable::common::ThreadPool pool(4);
+    const chem::InMemorySource source(
+        chem::generate_library("DGT", 2000, 0xd16e57), {}, &pool);
+    source.images(0, source.size(), images, &pool);
+  }
+  auto digest = [](const std::vector<float>& scores) {
+    return chem::fnv1a64(scores.data(), scores.size() * sizeof(float));
+  };
+  for (std::size_t workers : {0, 1, 2, 4}) {
+    std::optional<ScopedComputePool> pool;
+    if (workers > 0) pool.emplace(workers);
+    for (int chunk : {1, 7, 16, 64}) {
+      if (workers < 4 && chunk != ml::SurrogateOptions{}.predict_chunk)
+        continue;
+      ml::SurrogateOptions opts;
+      opts.predict_chunk = chunk;
+      const ml::SurrogateModel model(opts);
+      const std::vector<float> scores = model.predict_batch(images);
+      ASSERT_EQ(scores.size(), images.size());
+      EXPECT_EQ(digest(scores), kScoresDigest)
+          << workers << " workers, chunk " << chunk;
+    }
+    const std::vector<chem::Image> two(images.begin(), images.begin() + 2);
+    const std::vector<float> scores = ml::SurrogateModel().predict_batch(two);
+    EXPECT_EQ(digest(scores), kTwoImageDigest)
+        << workers << " workers";
+  }
+}
+
+TEST(Surrogate, ConcurrentPredictBatchOnSharedPoolMatchesSerial) {
+  // Two threads score through one model while both fan their chunk jobs
+  // out over one shared compute pool; every score keeps its serial bits.
+  const chem::CompoundLibrary lib = chem::generate_library("CPB", 24, 0xc0cc);
+  std::vector<chem::Image> images;
+  for (const auto& entry : lib.entries)
+    images.push_back(chem::depict(chem::parse_smiles(entry.smiles)));
+  ml::SurrogateOptions opts;
+  opts.predict_chunk = 5;
+  const ml::SurrogateModel model(opts);
+  const std::vector<float> serial = model.predict_batch(images);
+
+  ScopedComputePool pool(4);
+  std::vector<float> scores[2];
+  {
+    std::thread a([&] { scores[0] = model.predict_batch(images); });
+    std::thread b([&] { scores[1] = model.predict_batch(images); });
+    a.join();
+    b.join();
+  }
+  for (const std::vector<float>& s : scores) {
+    ASSERT_EQ(s.size(), serial.size());
+    EXPECT_EQ(std::memcmp(s.data(), serial.data(), s.size() * sizeof(float)), 0);
+  }
 }
 
 // ---------------------------------------------------------------- RES

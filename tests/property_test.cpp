@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <ostream>
 #include <set>
 
 #include "impeccable/chem/fingerprint.hpp"
@@ -278,14 +279,18 @@ INSTANTIATE_TEST_SUITE_P(NoiseLevels, ResMonotonicityProperty,
 
 // ------------------------------------------------ cell list completeness
 
-// gtest prints the raw bytes of a parameter into the test name, so the struct
-// must have no padding: padding bytes are uninitialised and would make the
-// name differ from run to run.
 struct CellListCase {
   std::int64_t points;
   double box;
   double cutoff;
 };
+
+// gtest prints a parameter in its test listing and failure output, and
+// CMake's test discovery puts that print into the ctest name in place of the
+// case index: "points40_box50_cutoff4" instead of the struct's raw bytes.
+void PrintTo(const CellListCase& c, std::ostream* os) {
+  *os << "points" << c.points << "_box" << c.box << "_cutoff" << c.cutoff;
+}
 
 class CellListProperty : public ::testing::TestWithParam<CellListCase> {};
 
